@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/compiler.hpp"
@@ -41,6 +45,27 @@ inline void expect_equivalent(const std::shared_ptr<const MacroBlock>& block,
                 << "method=" << codegen::to_string(method) << " t=" << t << " output=" << o
                 << " block=" << block->type_name();
     }
+}
+
+/// Whole-file read for byte-level assertions.
+inline std::vector<std::uint8_t> read_bytes(const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Byte-pinned golden check: `bytes` must equal the committed file
+/// `dir/name`. On a mismatch the produced bytes are written to `name` in
+/// the working directory, so the difference can be inspected with cmp.
+inline void expect_matches_golden(const std::filesystem::path& dir, const std::string& name,
+                                  const std::vector<std::uint8_t>& bytes) {
+    const std::vector<std::uint8_t> golden = read_bytes(dir / name);
+    if (golden == bytes) return;
+    std::ofstream(name, std::ios::binary)
+        .write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+    ADD_FAILURE() << "bytes differ from golden " << (dir / name) << " (" << bytes.size()
+                  << " produced vs " << golden.size() << " pinned); produced bytes written to "
+                  << std::filesystem::absolute(name);
 }
 
 } // namespace sbd::testing

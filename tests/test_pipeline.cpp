@@ -570,6 +570,24 @@ TEST(CacheAdversary, DiskTamperingDegradesToRecompute) {
     EXPECT_EQ(p.stats().macro_compiles, 0u);
 }
 
+TEST(CacheAdversary, Figure3RootRecordMatchesGolden) {
+    // The on-disk cache record (SBDP header, serialized entry, Hasher
+    // trailer) of figure3's root block under the default options.
+    const auto root = text::parse_sbd_file(std::string(SBD_MODELS_DIR) + "/figure3.sbd").root;
+    TempDir dir;
+    PipelineOptions popts;
+    popts.cache_dir = (dir.path / "cache").string();
+    {
+        Pipeline p(popts);
+        (void)p.compile(root);
+    }
+    const Fingerprint key = compile_key(fingerprint_block(*root), popts.method, popts.cluster);
+    const fs::path record = dir.path / "cache" / (key.hex() + ".sbdp");
+    ASSERT_TRUE(fs::exists(record));
+    sbd::testing::expect_matches_golden(SBD_GOLDEN_DIR, "figure3_root.sbdp.bin",
+                                        sbd::testing::read_bytes(record));
+}
+
 TEST(CacheAdversary, EntryRoundTripAndTruncationSafety) {
     std::mt19937_64 rng(9102);
     suite::RandomModelParams params;

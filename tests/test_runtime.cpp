@@ -12,8 +12,10 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include "core/compiler.hpp"
+#include "helpers.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/trace.hpp"
 #include "sbd/text_format.hpp"
@@ -318,6 +320,22 @@ TEST_F(TraceRoundtrip, BinaryAndCsvAreBitExact) {
 
     std::filesystem::remove(bin);
     std::filesystem::remove(csv);
+}
+
+TEST_F(TraceRoundtrip, BinaryLayoutMatchesGolden) {
+    // SBDT is an on-disk format: magic, u32 version, u64 inputs, u64
+    // outputs, u64 instants, then raw little-endian doubles row by row.
+    Trace t;
+    t.num_inputs = 2;
+    t.num_outputs = 1;
+    t.inputs = {{0.0, -0.0}, {std::numeric_limits<double>::infinity(), 5e-324}, {1.0 / 3.0, -7.5}};
+    t.outputs = {{1.5}, {std::numeric_limits<double>::quiet_NaN()}, {-1e300}};
+    const std::string bin = tmp_path("trace_golden.sbdt");
+    save_trace(t, bin);
+    sbd::testing::expect_matches_golden(SBD_GOLDEN_DIR, "trace.sbdt.bin",
+                                        sbd::testing::read_bytes(bin));
+    EXPECT_TRUE(bit_equal(load_trace(std::string(SBD_GOLDEN_DIR) + "/trace.sbdt.bin"), t));
+    std::filesystem::remove(bin);
 }
 
 TEST_F(TraceRoundtrip, ReplayReproducesRecordedOutputs) {

@@ -1,11 +1,9 @@
 #include "durable/durable.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <system_error>
 
+#include "core/bytes.hpp"
 #include "core/fsio.hpp"
 #include "resilience/fault.hpp"
 
@@ -15,62 +13,40 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr std::uint8_t kMagic[4] = {'S', 'B', 'D', 'K'};
+constexpr std::uint32_t kMagic = 0x4b444253; // "SBDK"
 constexpr std::uint32_t kFormatVersion = 1;
 constexpr std::size_t kHeader = 4 + 4 + 8 + 8;
-constexpr std::uint64_t kMaxPayload = 1ull << 32;
+constexpr std::string_view kPrefix = "ckpt-";
+constexpr std::string_view kSuffix = ".sbdk";
 
-void put_u32(std::uint8_t* p, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-void put_u64(std::uint8_t* p, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-std::uint32_t get_u32(const std::uint8_t* p) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-std::uint64_t get_u64(const std::uint8_t* p) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::string checkpoint_name(std::uint64_t seq) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "ckpt-%016llx.sbdk",
-                  static_cast<unsigned long long>(seq));
-    return buf;
-}
-
-std::optional<std::uint64_t> parse_checkpoint_name(const std::string& name) {
-    if (name.size() != 5 + 16 + 5 || name.rfind("ckpt-", 0) != 0 ||
-        name.substr(5 + 16) != ".sbdk")
-        return std::nullopt;
-    std::uint64_t v = 0;
-    for (std::size_t i = 5; i < 5 + 16; ++i) {
-        const char c = name[i];
-        int d = 0;
-        if (c >= '0' && c <= '9') d = c - '0';
-        else if (c >= 'a' && c <= 'f') d = c - 'a' + 10;
-        else return std::nullopt;
-        v = (v << 4) | static_cast<std::uint64_t>(d);
-    }
-    return v;
+/// The checksum covers seq + length + payload, same discipline as the
+/// journal.
+std::uint64_t checkpoint_checksum(std::span<const std::uint8_t> seq_len,
+                                  std::span<const std::uint8_t> payload) {
+    return bytes::fnv1a64(payload, bytes::fnv1a64(seq_len));
 }
 
 /// Newest first.
 std::vector<std::pair<std::uint64_t, fs::path>> list_checkpoints(const fs::path& dir) {
-    std::vector<std::pair<std::uint64_t, fs::path>> v;
-    std::error_code ec;
-    for (const auto& e : fs::directory_iterator(dir, ec)) {
-        if (!e.is_regular_file(ec)) continue;
-        if (const auto seq = parse_checkpoint_name(e.path().filename().string()))
-            v.emplace_back(*seq, e.path());
-    }
-    std::sort(v.begin(), v.end(), std::greater<>());
+    auto v = bytes::list_seq_files(dir, kPrefix, kSuffix);
+    std::reverse(v.begin(), v.end());
     return v;
+}
+
+/// The payload of a checkpoint file named for `seq`, or nullopt when the
+/// file is not a complete, intact checkpoint of that seq.
+std::optional<std::span<const std::uint8_t>> parse_checkpoint(
+    std::span<const std::uint8_t> raw, std::uint64_t seq) {
+    if (raw.size() < kHeader + 8) return std::nullopt;
+    bytes::ByteReader r(raw);
+    if (r.u32() != kMagic || r.u32() != kFormatVersion) return std::nullopt;
+    const std::span<const std::uint8_t> seq_len = raw.subspan(8, 16);
+    const std::uint64_t stored_seq = r.u64();
+    const std::uint64_t len = r.u64();
+    if (stored_seq != seq || len != r.remaining() - 8) return std::nullopt;
+    const std::span<const std::uint8_t> payload = r.bytes(len);
+    if (r.u64() != checkpoint_checksum(seq_len, payload)) return std::nullopt;
+    return payload;
 }
 
 } // namespace
@@ -99,29 +75,28 @@ bool CheckpointStore::write(std::uint64_t seq, std::span<const std::uint8_t> pay
         c_failures_.inc();
         return false;
     }
-    std::vector<std::uint8_t> buf(kHeader + payload.size() + 8);
-    std::memcpy(buf.data(), kMagic, 4);
-    put_u32(buf.data() + 4, kFormatVersion);
-    put_u64(buf.data() + 8, seq);
-    put_u64(buf.data() + 16, payload.size());
-    std::copy(payload.begin(), payload.end(), buf.begin() + kHeader);
-    // Checksum covers seq + length + payload, same discipline as the journal.
-    const std::uint64_t check =
-        fnv1a64(payload, fnv1a64({buf.data() + 8, 16}));
-    put_u64(buf.data() + kHeader + payload.size(), check);
+    bytes::ByteWriter w;
+    w.reserve(kHeader + payload.size() + 8);
+    w.u32(kMagic);
+    w.u32(kFormatVersion);
+    w.u64(seq);
+    w.u64(payload.size());
+    const std::uint64_t check = checkpoint_checksum(w.view().subspan(8, 16), payload);
+    w.bytes(payload);
+    w.u64(check);
 
     std::uint64_t serial = 0;
     {
         std::lock_guard lock(m_);
         serial = ++tmp_serial_;
     }
-    const fs::path final_path = opts_.data_dir / checkpoint_name(seq);
-    const fs::path tmp_path =
-        opts_.data_dir / (checkpoint_name(seq) + ".tmp" + std::to_string(serial));
+    const std::string name = bytes::seq_file_name(kPrefix, seq, kSuffix);
+    const fs::path final_path = opts_.data_dir / name;
+    const fs::path tmp_path = opts_.data_dir / (name + ".tmp" + std::to_string(serial));
     // Checkpoints are always published with the full fsync discipline —
     // a checkpoint that might vanish in a crash is worse than none, because
     // truncate_until() deletes the journal prefix it supposedly covers.
-    if (!fsio::write_file_durable(final_path, tmp_path, buf,
+    if (!fsio::write_file_durable(final_path, tmp_path, w.view(),
                                   /*durable_sync=*/opts_.fsync != FsyncMode::Off)) {
         timer.cancel();
         c_failures_.inc();
@@ -142,40 +117,14 @@ std::optional<CheckpointStore::Loaded> CheckpointStore::load_latest() {
             reject();
             continue;
         }
-        std::vector<std::uint8_t> raw;
-        {
-            std::ifstream f(path, std::ios::binary);
-            if (!f) {
-                reject();
-                continue;
-            }
-            raw.assign(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
-            if (f.bad()) {
-                reject();
-                continue;
-            }
-        }
-        if (raw.size() < kHeader + 8 || std::memcmp(raw.data(), kMagic, 4) != 0 ||
-            get_u32(raw.data() + 4) != kFormatVersion) {
-            reject();
-            continue;
-        }
-        const std::uint64_t stored_seq = get_u64(raw.data() + 8);
-        const std::uint64_t len = get_u64(raw.data() + 16);
-        if (stored_seq != seq || len > kMaxPayload ||
-            raw.size() != kHeader + len + 8) {
-            reject();
-            continue;
-        }
-        const std::span<const std::uint8_t> payload{raw.data() + kHeader,
-                                                    static_cast<std::size_t>(len)};
-        const std::uint64_t check = get_u64(raw.data() + kHeader + len);
-        if (check != fnv1a64(payload, fnv1a64({raw.data() + 8, 16}))) {
+        const std::optional<std::vector<std::uint8_t>> raw = bytes::read_file(path);
+        const auto payload = raw ? parse_checkpoint(*raw, seq) : std::nullopt;
+        if (!payload) {
             reject();
             continue;
         }
         out.seq = seq;
-        out.payload.assign(payload.begin(), payload.end());
+        out.payload.assign(payload->begin(), payload->end());
         return out;
     }
     return std::nullopt;

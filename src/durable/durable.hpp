@@ -86,10 +86,6 @@ struct Options {
     std::filesystem::path journal_dir() const { return data_dir / "journal"; }
 };
 
-/// FNV-1a-64 over a byte span, resumable via the running-hash overload.
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
-                      std::uint64_t h = 14695981039346656037ull);
-
 /// Result of scanning a journal directory (read-only; recovery and
 /// `--journal-dump` both use it).
 struct ScanResult {

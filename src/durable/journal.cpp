@@ -1,16 +1,13 @@
 #include "durable/durable.hpp"
 
-#include <algorithm>
 #include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <system_error>
 
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "core/bytes.hpp"
 #include "core/fsio.hpp"
 #include "resilience/fault.hpp"
 
@@ -18,79 +15,26 @@ namespace sbd::durable {
 
 namespace fs = std::filesystem;
 
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes, std::uint64_t h) {
-    for (const std::uint8_t b : bytes) {
-        h ^= b;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 namespace {
 
-constexpr std::uint8_t kMagic[4] = {'S', 'B', 'D', 'J'};
+constexpr std::uint32_t kMagic = 0x4a444253; // "SBDJ"
 constexpr std::uint32_t kFormatVersion = 1;
 constexpr std::size_t kSegHeader = 4 + 4 + 8;
 constexpr std::size_t kRecHeader = 4 + 4 + 8 + 8;
-/// Sanity cap while scanning: a corrupt length field must not provoke a
-/// multi-gigabyte allocation. Matches the protocol's payload ceiling.
-constexpr std::uint64_t kMaxPayload = 64ull << 20;
-
-void put_u32(std::uint8_t* p, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-void put_u64(std::uint8_t* p, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-std::uint32_t get_u32(const std::uint8_t* p) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-std::uint64_t get_u64(const std::uint8_t* p) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
+constexpr std::string_view kSegPrefix = "wal-";
+constexpr std::string_view kSegSuffix = ".sbdj";
 
 /// Checksum covers the whole record — length, kind and seq included — so a
 /// corrupt header is as detectable as a corrupt payload.
-std::uint64_t record_checksum(std::uint32_t len, std::uint32_t kind, std::uint64_t seq,
+std::uint64_t record_checksum(std::span<const std::uint8_t> len_kind_seq,
                               std::span<const std::uint8_t> payload) {
-    std::uint8_t hdr[16];
-    put_u32(hdr, len);
-    put_u32(hdr + 4, kind);
-    put_u64(hdr + 8, seq);
-    return fnv1a64(payload, fnv1a64({hdr, sizeof hdr}));
+    return bytes::fnv1a64(payload, bytes::fnv1a64(len_kind_seq));
 }
 
-std::string segment_name(std::uint64_t first_seq) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "wal-%016llx.sbdj",
-                  static_cast<unsigned long long>(first_seq));
-    return buf;
-}
-
-std::optional<std::uint64_t> parse_segment_name(const std::string& name) {
-    if (name.size() != 4 + 16 + 5 || name.rfind("wal-", 0) != 0 ||
-        name.substr(4 + 16) != ".sbdj")
-        return std::nullopt;
-    std::uint64_t v = 0;
-    for (std::size_t i = 4; i < 4 + 16; ++i) {
-        const char c = name[i];
-        int d = 0;
-        if (c >= '0' && c <= '9') d = c - '0';
-        else if (c >= 'a' && c <= 'f') d = c - 'a' + 10;
-        else return std::nullopt;
-        v = (v << 4) | static_cast<std::uint64_t>(d);
-    }
-    return v;
-}
-
-bool write_full(int fd, const std::uint8_t* data, std::size_t len) {
+bool write_full(int fd, std::span<const std::uint8_t> data) {
     std::size_t off = 0;
-    while (off < len) {
-        const ssize_t n = ::write(fd, data + off, len - off);
+    while (off < data.size()) {
+        const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
         if (n < 0) {
             if (errno == EINTR) continue;
             return false;
@@ -116,58 +60,35 @@ struct SegmentScan {
 SegmentScan scan_segment(const fs::path& path, std::uint64_t expect_seq,
                          std::vector<Record>* out, std::uint64_t from_seq) {
     SegmentScan s;
-    std::vector<std::uint8_t> raw;
-    {
-        std::ifstream f(path, std::ios::binary);
-        if (!f) return s;
-        raw.assign(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
-        if (f.bad()) return s;
-    }
-    s.file_size = raw.size();
-    if (raw.size() < kSegHeader || std::memcmp(raw.data(), kMagic, 4) != 0 ||
-        get_u32(raw.data() + 4) != kFormatVersion)
-        return s;
+    const std::optional<std::vector<std::uint8_t>> raw = bytes::read_file(path);
+    if (!raw) return s;
+    s.file_size = raw->size();
+    if (raw->size() < kSegHeader) return s;
+    bytes::ByteReader r(*raw);
+    if (r.u32() != kMagic || r.u32() != kFormatVersion) return s;
     s.header_ok = true;
-    s.header_first_seq = get_u64(raw.data() + 8);
+    s.header_first_seq = r.u64();
     std::uint64_t expected = expect_seq != 0 ? expect_seq : s.header_first_seq;
-    std::size_t off = kSegHeader;
-    s.valid_end = off;
-    while (off + kRecHeader <= raw.size()) {
-        const std::uint32_t len = get_u32(raw.data() + off);
-        const std::uint32_t kind = get_u32(raw.data() + off + 4);
-        const std::uint64_t seq = get_u64(raw.data() + off + 8);
-        const std::uint64_t check = get_u64(raw.data() + off + 16);
-        if (len > kMaxPayload) break;
-        if (off + kRecHeader + len > raw.size()) break;
-        const std::span<const std::uint8_t> payload{raw.data() + off + kRecHeader, len};
-        if (check != record_checksum(len, kind, seq, payload)) break;
+    s.valid_end = kSegHeader;
+    while (r.remaining() >= kRecHeader) {
+        const std::span<const std::uint8_t> len_kind_seq = r.bytes(16);
+        bytes::ByteReader h(len_kind_seq);
+        const std::uint32_t len = h.u32();
+        const std::uint32_t kind = h.u32();
+        const std::uint64_t seq = h.u64();
+        const std::uint64_t check = r.u64();
+        if (len > r.remaining()) break;
+        const std::span<const std::uint8_t> payload = r.bytes(len);
+        if (check != record_checksum(len_kind_seq, payload)) break;
         if (seq != expected) break;
-        if (out != nullptr && seq > from_seq) {
-            Record r;
-            r.seq = seq;
-            r.kind = static_cast<RecordKind>(kind);
-            r.payload.assign(payload.begin(), payload.end());
-            out->push_back(std::move(r));
-        }
+        if (out != nullptr && seq > from_seq)
+            out->push_back({seq, static_cast<RecordKind>(kind), {payload.begin(), payload.end()}});
         s.last_seq = seq;
         ++expected;
-        off += kRecHeader + len;
-        s.valid_end = off;
+        s.valid_end = raw->size() - r.remaining();
     }
-    s.torn = s.valid_end < raw.size();
+    s.torn = s.valid_end < raw->size();
     return s;
-}
-
-std::vector<std::pair<std::uint64_t, fs::path>> list_segments(const fs::path& dir) {
-    std::vector<std::pair<std::uint64_t, fs::path>> v;
-    std::error_code ec;
-    for (const auto& e : fs::directory_iterator(dir, ec)) {
-        if (!e.is_regular_file(ec)) continue;
-        if (const auto seq = parse_segment_name(e.path().filename().string()))
-            v.emplace_back(*seq, e.path());
-    }
-    std::sort(v.begin(), v.end());
-    return v;
 }
 
 } // namespace
@@ -197,7 +118,7 @@ Journal::Journal(const Options& opts) : opts_(opts) {
 
     // Repair pass: walk segments in order, stop at the first torn or
     // discontinuous point, truncate there and drop everything beyond it.
-    auto segs = list_segments(opts_.journal_dir());
+    auto segs = bytes::list_seq_files(opts_.journal_dir(), kSegPrefix, kSegSuffix);
     std::size_t keep = 0;
     bool stop = false;
     for (std::size_t i = 0; i < segs.size() && !stop; ++i) {
@@ -258,17 +179,18 @@ Journal::~Journal() {
 }
 
 void Journal::open_segment_locked(std::uint64_t first_seq) {
-    const fs::path path = opts_.journal_dir() / segment_name(first_seq);
+    const fs::path path =
+        opts_.journal_dir() / bytes::seq_file_name(kSegPrefix, first_seq, kSegSuffix);
     const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC,
                           0644);
     if (fd < 0)
         throw DurableError("durable: cannot create journal segment '" + path.string() +
                            "'");
-    std::uint8_t hdr[kSegHeader];
-    std::memcpy(hdr, kMagic, 4);
-    put_u32(hdr + 4, kFormatVersion);
-    put_u64(hdr + 8, first_seq);
-    if (!write_full(fd, hdr, sizeof hdr)) {
+    bytes::ByteWriter hdr;
+    hdr.u32(kMagic);
+    hdr.u32(kFormatVersion);
+    hdr.u64(first_seq);
+    if (!write_full(fd, hdr.view())) {
         ::close(fd);
         throw DurableError("durable: cannot write journal segment header '" +
                            path.string() + "'");
@@ -309,15 +231,15 @@ std::uint64_t Journal::append(RecordKind kind, std::span<const std::uint8_t> pay
         rotate_locked();
 
     const std::uint64_t seq = next_seq_;
-    std::vector<std::uint8_t> buf(kRecHeader + payload.size());
-    const auto len = static_cast<std::uint32_t>(payload.size());
-    put_u32(buf.data(), len);
-    put_u32(buf.data() + 4, static_cast<std::uint32_t>(kind));
-    put_u64(buf.data() + 8, seq);
-    put_u64(buf.data() + 16, record_checksum(len, static_cast<std::uint32_t>(kind), seq,
-                                             payload));
-    std::copy(payload.begin(), payload.end(), buf.begin() + kRecHeader);
-    if (!write_full(fd_, buf.data(), buf.size())) {
+    bytes::ByteWriter w;
+    w.reserve(kRecHeader + payload.size());
+    w.u32(static_cast<std::uint32_t>(payload.size()));
+    w.u32(static_cast<std::uint32_t>(kind));
+    w.u64(seq);
+    w.u64(record_checksum(w.view(), payload));
+    w.bytes(payload);
+    const std::span<const std::uint8_t> buf = w.view();
+    if (!write_full(fd_, buf)) {
         // A partial write leaves a torn tail the scanner would stop at —
         // but a *later* successful append would then be unreachable behind
         // it. Roll the file back to the last good record; if even that
@@ -399,7 +321,7 @@ ScanResult Journal::scan(const fs::path& journal_dir_or_segment, std::uint64_t f
         r.torn_bytes = s.file_size - (s.header_ok ? s.valid_end : 0);
         return r;
     }
-    const auto segs = list_segments(journal_dir_or_segment);
+    const auto segs = bytes::list_seq_files(journal_dir_or_segment, kSegPrefix, kSegSuffix);
     std::uint64_t expect = 0;
     for (std::size_t i = 0; i < segs.size(); ++i) {
         const SegmentScan s = scan_segment(segs[i].second, expect, &r.records, from_seq);

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <stdexcept>
 
 namespace sbd::obs {
 
@@ -208,104 +207,6 @@ std::string to_chrome_trace(const std::vector<SpanEvent>& events) {
     return out;
 }
 
-// ------------------------------------------------------------ binary format
-//
-// File = magic "SBDO" | version u32 | count u64 | events. Each event:
-// str name | str detail | str cat | start u64 | dur u64 | tid u32 |
-// depth u32, where str = length u64 + bytes. Little-endian throughout.
-
-namespace {
-
-constexpr char kMagic[4] = {'S', 'B', 'D', 'O'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::uint64_t kSaneCount = 1ull << 28;
-
-void put_u32(std::vector<std::uint8_t>& buf, std::uint32_t x) {
-    for (int i = 0; i < 4; ++i) buf.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-}
-void put_u64(std::vector<std::uint8_t>& buf, std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) buf.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-}
-void put_str(std::vector<std::uint8_t>& buf, const std::string& s) {
-    put_u64(buf, s.size());
-    buf.insert(buf.end(), s.begin(), s.end());
-}
-
-struct SpanReader {
-    const std::vector<std::uint8_t>& data;
-    std::size_t pos = 0;
-
-    void need(std::size_t n) const {
-        if (pos + n > data.size()) throw std::runtime_error("span file: truncated");
-    }
-    std::uint32_t u32() {
-        need(4);
-        std::uint32_t x = 0;
-        for (int i = 0; i < 4; ++i) x |= static_cast<std::uint32_t>(data[pos++]) << (8 * i);
-        return x;
-    }
-    std::uint64_t u64() {
-        need(8);
-        std::uint64_t x = 0;
-        for (int i = 0; i < 8; ++i) x |= static_cast<std::uint64_t>(data[pos++]) << (8 * i);
-        return x;
-    }
-    std::string str() {
-        const std::uint64_t n = u64();
-        if (n > kSaneCount) throw std::runtime_error("span file: oversized string");
-        need(n);
-        std::string s(reinterpret_cast<const char*>(data.data() + pos),
-                      static_cast<std::size_t>(n));
-        pos += n;
-        return s;
-    }
-};
-
-} // namespace
-
-std::vector<std::uint8_t> serialize_spans(const std::vector<SpanEvent>& events) {
-    std::vector<std::uint8_t> buf;
-    for (const char c : kMagic) buf.push_back(static_cast<std::uint8_t>(c));
-    put_u32(buf, kVersion);
-    put_u64(buf, events.size());
-    for (const SpanEvent& e : events) {
-        put_str(buf, e.name);
-        put_str(buf, e.detail);
-        put_str(buf, e.cat);
-        put_u64(buf, e.start_ns);
-        put_u64(buf, e.dur_ns);
-        put_u32(buf, e.tid);
-        put_u32(buf, e.depth);
-    }
-    return buf;
-}
-
-std::vector<SpanEvent> deserialize_spans(const std::vector<std::uint8_t>& data) {
-    SpanReader r{data};
-    r.need(4);
-    if (std::memcmp(data.data(), kMagic, 4) != 0)
-        throw std::runtime_error("span file: bad magic");
-    r.pos = 4;
-    if (r.u32() != kVersion) throw std::runtime_error("span file: unknown version");
-    const std::uint64_t n = r.u64();
-    if (n > kSaneCount) throw std::runtime_error("span file: oversized count");
-    std::vector<SpanEvent> events;
-    events.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        SpanEvent e;
-        e.name = r.str();
-        e.detail = r.str();
-        e.cat = r.str();
-        e.start_ns = r.u64();
-        e.dur_ns = r.u64();
-        e.tid = r.u32();
-        e.depth = r.u32();
-        events.push_back(std::move(e));
-    }
-    if (r.pos != data.size()) throw std::runtime_error("span file: trailing garbage");
-    return events;
-}
-
 namespace {
 
 bool write_all(const std::string& path, const char* data, std::size_t size) {
@@ -349,12 +250,8 @@ bool write_metrics_file(const Snapshot& snap, const std::string& path,
 }
 
 bool write_trace_file(const std::vector<SpanEvent>& events, const std::string& path) {
-    if (ends_with(path, ".json")) {
-        const std::string body = to_chrome_trace(events);
-        return write_all(path, body.data(), body.size());
-    }
-    const std::vector<std::uint8_t> buf = serialize_spans(events);
-    return write_all(path, reinterpret_cast<const char*>(buf.data()), buf.size());
+    const std::string body = to_chrome_trace(events);
+    return write_all(path, body.data(), body.size());
 }
 
 } // namespace sbd::obs

@@ -25,17 +25,11 @@ std::string to_table(const Snapshot& snap);
 /// complete ("ph":"X") event per span, timestamps in microseconds.
 std::string to_chrome_trace(const std::vector<SpanEvent>& events);
 
-/// Compact binary span format (magic "SBDO", version 1, little-endian).
-std::vector<std::uint8_t> serialize_spans(const std::vector<SpanEvent>& events);
-/// Parses a serialized span file; throws std::runtime_error on any
-/// structural problem (truncation, bad magic/version, oversized counts).
-std::vector<SpanEvent> deserialize_spans(const std::vector<std::uint8_t>& data);
-
-/// File helpers used by the tools. Format is chosen by extension:
-/// metrics: ".json" => JSON, ".txt"/".tbl" => table, else Prometheus text
-/// (an explicit `format` of "prom"/"json"/"table" overrides);
-/// trace: ".json" => Chrome trace, else binary SBDO.
-/// Return false (with a message on stderr) on I/O failure.
+/// File helpers used by the tools. The metrics format is chosen by
+/// extension: ".json" => JSON, ".txt"/".tbl" => table, else Prometheus text
+/// (an explicit `format` of "prom"/"json"/"table" overrides). Traces are
+/// always Chrome trace JSON. Return false (with a message on stderr) on I/O
+/// failure.
 bool write_metrics_file(const Snapshot& snap, const std::string& path,
                         const std::string& format = {});
 bool write_trace_file(const std::vector<SpanEvent>& events, const std::string& path);

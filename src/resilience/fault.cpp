@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/bytes.hpp"
 #include "obs/metrics.hpp"
 
 namespace sbd::resilience {
@@ -19,15 +20,6 @@ std::uint64_t splitmix64(std::uint64_t x) {
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return x ^ (x >> 31);
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const char c : s) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
 }
 
 std::string trim(const std::string& s) {
@@ -171,7 +163,9 @@ bool FaultRegistry::should_fail(const char* point) {
     case ScheduleKind::Nth: fail = hit == pt.sched.n; break;
     case ScheduleKind::EveryK: fail = hit % pt.sched.n == 0; break;
     case ScheduleKind::Prob: {
-        const std::uint64_t h = splitmix64(seed_ ^ fnv1a(pt.name) ^ (hit * 0x9e3779b9ULL));
+        const std::uint64_t name = bytes::fnv1a64(
+            {reinterpret_cast<const std::uint8_t*>(pt.name.data()), pt.name.size()});
+        const std::uint64_t h = splitmix64(seed_ ^ name ^ (hit * 0x9e3779b9ULL));
         const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
         fail = u < pt.sched.p;
         break;

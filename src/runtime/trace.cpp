@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/bytes.hpp"
 #include "core/exec.hpp"
 #include "sim/simulator.hpp"
 
@@ -14,8 +15,9 @@ namespace sbd::runtime {
 
 namespace {
 
-constexpr char kMagic[4] = {'S', 'B', 'D', 'T'};
+constexpr std::uint32_t kMagic = 0x54444253; // "SBDT"
 constexpr std::uint32_t kVersion = 1;
+constexpr std::size_t kHeader = 4 + 4 + 8 + 8 + 8;
 
 bool rows_bit_equal(const std::vector<std::vector<double>>& a,
                     const std::vector<std::vector<double>>& b) {
@@ -29,53 +31,56 @@ bool rows_bit_equal(const std::vector<std::vector<double>>& a,
     return true;
 }
 
-template <typename T> void write_pod(std::ostream& os, const T& v) {
-    os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-template <typename T> T read_pod(std::istream& is) {
-    T v{};
-    is.read(reinterpret_cast<char*>(&v), sizeof v);
-    if (!is) throw std::runtime_error("trace: truncated binary file");
-    return v;
-}
-
-void save_binary(const Trace& t, std::ostream& os) {
-    os.write(kMagic, sizeof kMagic);
-    write_pod(os, kVersion);
-    write_pod(os, static_cast<std::uint64_t>(t.num_inputs));
-    write_pod(os, static_cast<std::uint64_t>(t.num_outputs));
-    write_pod(os, static_cast<std::uint64_t>(t.instants()));
+std::vector<std::uint8_t> encode_binary(const Trace& t) {
+    bytes::ByteWriter w;
+    w.reserve(kHeader + t.instants() * (t.num_inputs + t.num_outputs) * sizeof(double));
+    w.u32(kMagic);
+    w.u32(kVersion);
+    w.u64(t.num_inputs);
+    w.u64(t.num_outputs);
+    w.u64(t.instants());
     for (std::size_t k = 0; k < t.instants(); ++k) {
-        os.write(reinterpret_cast<const char*>(t.inputs[k].data()),
-                 static_cast<std::streamsize>(t.num_inputs * sizeof(double)));
-        os.write(reinterpret_cast<const char*>(t.outputs[k].data()),
-                 static_cast<std::streamsize>(t.num_outputs * sizeof(double)));
+        w.f64s(t.inputs[k]);
+        w.f64s(t.outputs[k]);
     }
+    return w.take();
 }
 
-Trace load_binary(std::istream& is) {
-    char magic[4];
-    is.read(magic, sizeof magic);
-    if (!is || std::memcmp(magic, kMagic, sizeof kMagic) != 0)
-        throw std::runtime_error("trace: not an SBDT binary trace");
-    const auto version = read_pod<std::uint32_t>(is);
-    if (version != kVersion)
-        throw std::runtime_error("trace: unsupported version " + std::to_string(version));
-    Trace t;
-    t.num_inputs = static_cast<std::size_t>(read_pod<std::uint64_t>(is));
-    t.num_outputs = static_cast<std::size_t>(read_pod<std::uint64_t>(is));
-    const auto n = static_cast<std::size_t>(read_pod<std::uint64_t>(is));
-    t.inputs.assign(n, std::vector<double>(t.num_inputs));
-    t.outputs.assign(n, std::vector<double>(t.num_outputs));
-    for (std::size_t k = 0; k < n; ++k) {
-        is.read(reinterpret_cast<char*>(t.inputs[k].data()),
-                static_cast<std::streamsize>(t.num_inputs * sizeof(double)));
-        is.read(reinterpret_cast<char*>(t.outputs[k].data()),
-                static_cast<std::streamsize>(t.num_outputs * sizeof(double)));
-        if (!is) throw std::runtime_error("trace: truncated binary file");
+/// Decodes an SBDT file whose magic the caller has checked. The body must
+/// be exactly `instants` rows of (inputs + outputs) doubles; that is
+/// checked before anything is sized from the header.
+Trace decode_binary(std::span<const std::uint8_t> raw) {
+    bytes::ByteReader r(raw);
+    try {
+        (void)r.u32(); // magic
+        const auto version = r.u32();
+        if (version != kVersion)
+            throw std::runtime_error("trace: unsupported version " + std::to_string(version));
+        const std::uint64_t ni = r.u64();
+        const std::uint64_t no = r.u64();
+        const std::uint64_t n = r.u64();
+        // Rows of zero width would let a 32-byte header claim any number of
+        // empty rows.
+        const std::uint64_t cells = r.remaining() / sizeof(double);
+        if (n != 0 && (ni > cells || no > cells - ni || ni + no == 0 || n > cells / (ni + no)))
+            throw std::runtime_error("trace: truncated binary file");
+        if (n * (ni + no) * sizeof(double) != r.remaining())
+            throw std::runtime_error("trace: trailing bytes after binary trace");
+        Trace t;
+        t.num_inputs = static_cast<std::size_t>(ni);
+        t.num_outputs = static_cast<std::size_t>(no);
+        t.inputs.resize(n);
+        t.outputs.resize(n);
+        for (std::size_t k = 0; k < n; ++k) {
+            t.inputs[k].resize(t.num_inputs);
+            t.outputs[k].resize(t.num_outputs);
+            r.f64s(t.inputs[k]);
+            r.f64s(t.outputs[k]);
+        }
+        return t;
+    } catch (const bytes::DecodeError&) {
+        throw std::runtime_error("trace: truncated binary file");
     }
-    return t;
 }
 
 void save_csv(const Trace& t, std::ostream& os) {
@@ -168,22 +173,23 @@ void TraceRecorder::record(std::span<const double> inputs, std::span<const doubl
 void save_trace(const Trace& t, const std::string& path) {
     std::ofstream f(path, std::ios::binary);
     if (!f) throw std::runtime_error("trace: cannot write '" + path + "'");
-    if (has_suffix(path, ".csv"))
+    if (has_suffix(path, ".csv")) {
         save_csv(t, f);
-    else
-        save_binary(t, f);
+    } else {
+        const std::vector<std::uint8_t> raw = encode_binary(t);
+        f.write(reinterpret_cast<const char*>(raw.data()),
+                static_cast<std::streamsize>(raw.size()));
+    }
     if (!f) throw std::runtime_error("trace: write failed for '" + path + "'");
 }
 
 Trace load_trace(const std::string& path) {
-    std::ifstream f(path, std::ios::binary);
-    if (!f) throw std::runtime_error("trace: cannot read '" + path + "'");
-    char magic[4] = {};
-    f.read(magic, sizeof magic);
-    f.clear();
-    f.seekg(0);
-    if (std::memcmp(magic, kMagic, sizeof kMagic) == 0) return load_binary(f);
-    return load_csv(f);
+    const std::optional<std::vector<std::uint8_t>> raw = bytes::read_file(path);
+    if (!raw) throw std::runtime_error("trace: cannot read '" + path + "'");
+    if (raw->size() >= sizeof kMagic && std::memcmp(raw->data(), &kMagic, sizeof kMagic) == 0)
+        return decode_binary(*raw);
+    std::istringstream csv(std::string(raw->begin(), raw->end()));
+    return load_csv(csv);
 }
 
 Trace replay(const codegen::CompiledSystem& sys, BlockPtr root, const Trace& t,

@@ -4,6 +4,23 @@
 
 namespace sbd::serve {
 
+namespace {
+
+/// Decodes the payload of an Ok reply with `read`, which must consume all
+/// of it; a reply that does not decode is the coded BAD_PAYLOAD.
+template <typename F> auto decode_reply(const Frame& resp, F&& read) {
+    try {
+        bytes::ByteReader r(resp.payload);
+        auto out = read(r);
+        r.done();
+        return out;
+    } catch (const bytes::DecodeError&) {
+        throw ServeError(Err::BadPayload, "malformed request payload");
+    }
+}
+
+} // namespace
+
 Frame Client::call_raw(Op op, std::vector<std::uint8_t> payload) {
     Frame req;
     req.opcode = op;
@@ -22,9 +39,9 @@ Frame Client::call(Op op, std::vector<std::uint8_t> payload) {
     if (resp.status != Err::Ok) {
         std::string message = "(no message)";
         try {
-            PayloadReader r(resp.payload);
+            bytes::ByteReader r(resp.payload);
             message = r.str();
-        } catch (const ServeError&) {
+        } catch (const bytes::DecodeError&) {
         }
         throw ServeError(resp.status,
                          std::string(to_string(resp.status)) + ": " + message);
@@ -33,20 +50,18 @@ Frame Client::call(Op op, std::vector<std::uint8_t> payload) {
 }
 
 std::vector<WireHandle> Client::create_instances(std::uint64_t tenant, std::uint32_t count) {
-    PayloadWriter w;
+    bytes::ByteWriter w;
     w.u64(tenant);
     w.u32(count);
-    const Frame resp = call(Op::CreateInstances, w.take());
-    PayloadReader r(resp.payload);
-    const std::uint32_t n = r.u32();
-    std::vector<WireHandle> handles(n);
-    for (WireHandle& h : handles) h = read_handle(r);
-    r.done();
-    return handles;
+    return decode_reply(call(Op::CreateInstances, w.take()), [](bytes::ByteReader& r) {
+        std::vector<WireHandle> handles(r.count(kWireHandleBytes));
+        for (WireHandle& h : handles) h = read_handle(r);
+        return handles;
+    });
 }
 
 void Client::destroy_instances(std::uint64_t tenant, std::span<const WireHandle> handles) {
-    PayloadWriter w;
+    bytes::ByteWriter w;
     w.u64(tenant);
     w.u32(static_cast<std::uint32_t>(handles.size()));
     for (const WireHandle& h : handles) write_handle(w, h);
@@ -56,7 +71,7 @@ void Client::destroy_instances(std::uint64_t tenant, std::span<const WireHandle>
 void Client::post_inputs(std::uint64_t tenant, std::span<const WireHandle> handles,
                          std::span<const double> rows) {
     if (handles.empty() && rows.empty()) {
-        PayloadWriter w;
+        bytes::ByteWriter w;
         w.u64(tenant);
         w.u32(0);
         call(Op::PostInputs, w.take());
@@ -65,7 +80,7 @@ void Client::post_inputs(std::uint64_t tenant, std::span<const WireHandle> handl
     if (handles.empty() || rows.size() % handles.size() != 0)
         throw std::invalid_argument("post_inputs: rows must be handles * num_inputs doubles");
     const std::size_t nin = rows.size() / handles.size();
-    PayloadWriter w;
+    bytes::ByteWriter w;
     w.u64(tenant);
     w.u32(static_cast<std::uint32_t>(handles.size()));
     for (std::size_t i = 0; i < handles.size(); ++i) {
@@ -76,85 +91,78 @@ void Client::post_inputs(std::uint64_t tenant, std::span<const WireHandle> handl
 }
 
 TickResult Client::tick(std::uint64_t tenant, std::uint32_t n) {
-    PayloadWriter w;
+    bytes::ByteWriter w;
     w.u64(tenant);
     w.u32(n);
-    const Frame resp = call(Op::Tick, w.take());
-    PayloadReader r(resp.payload);
-    TickResult t;
-    t.server_ticks = r.u64();
-    t.executed = r.u32();
-    r.done();
-    return t;
+    return decode_reply(call(Op::Tick, w.take()), [](bytes::ByteReader& r) {
+        TickResult t;
+        t.server_ticks = r.u64();
+        t.executed = r.u32();
+        return t;
+    });
 }
 
 std::vector<double> Client::read_outputs(std::uint64_t tenant,
                                          std::span<const WireHandle> handles) {
-    PayloadWriter w;
+    bytes::ByteWriter w;
     w.u64(tenant);
     w.u32(static_cast<std::uint32_t>(handles.size()));
     for (const WireHandle& h : handles) write_handle(w, h);
-    const Frame resp = call(Op::ReadOutputs, w.take());
-    PayloadReader r(resp.payload);
-    const std::uint32_t count = r.u32();
-    if (r.remaining() % 8 != 0 || (count != 0 && (r.remaining() / 8) % count != 0))
-        throw ServeError(Err::BadPayload, "malformed READ_OUTPUTS response");
-    std::vector<double> rows(r.remaining() / 8);
-    r.f64s(rows);
-    r.done();
-    return rows;
+    return decode_reply(call(Op::ReadOutputs, w.take()), [](bytes::ByteReader& r) {
+        const std::uint32_t count = r.u32();
+        if (r.remaining() % 8 != 0 || (count != 0 && (r.remaining() / 8) % count != 0))
+            throw ServeError(Err::BadPayload, "malformed READ_OUTPUTS response");
+        std::vector<double> rows(r.remaining() / 8);
+        r.f64s(rows);
+        return rows;
+    });
 }
 
 std::vector<double> Client::snapshot(std::uint64_t tenant, const WireHandle& handle) {
-    PayloadWriter w;
+    bytes::ByteWriter w;
     w.u64(tenant);
     write_handle(w, handle);
-    const Frame resp = call(Op::Snapshot, w.take());
-    PayloadReader r(resp.payload);
-    std::vector<double> blob(r.u32());
-    r.f64s(blob);
-    r.done();
-    return blob;
+    return decode_reply(call(Op::Snapshot, w.take()), [](bytes::ByteReader& r) {
+        std::vector<double> blob(r.count(sizeof(double)));
+        r.f64s(blob);
+        return blob;
+    });
 }
 
 std::string Client::stats(std::uint64_t tenant) {
-    PayloadWriter w;
+    bytes::ByteWriter w;
     w.u64(tenant);
-    const Frame resp = call(Op::Stats, w.take());
-    PayloadReader r(resp.payload);
-    std::string text = r.str();
-    r.done();
-    return text;
+    return decode_reply(call(Op::Stats, w.take()),
+                        [](bytes::ByteReader& r) { return r.str(); });
 }
 
 void Client::shutdown(std::uint64_t tenant) {
-    PayloadWriter w;
+    bytes::ByteWriter w;
     w.u64(tenant);
     call(Op::Shutdown, w.take());
 }
 
 UpgradeResult Client::upgrade_model(std::uint64_t tenant, const std::string& source,
                                     bool allow_drain) {
-    PayloadWriter w;
+    bytes::ByteWriter w;
     w.u64(tenant);
     w.u32(allow_drain ? kUpgradeAllowDrain : 0);
     w.str(source);
-    const Frame resp = call(Op::UpgradeModel, w.take());
-    PayloadReader r(resp.payload);
-    UpgradeResult u;
-    u.version = r.u64();
-    u.macro_compiles = r.u64();
-    u.macro_reuses = r.u64();
-    u.units_total = r.u64();
-    u.units_reused = r.u64();
-    u.drained = r.u32() != 0;
-    u.state_copied = r.u64();
-    u.state_initialized = r.u64();
-    u.state_dropped = r.u64();
-    u.compile_ns = r.u64();
-    u.swap_ns = r.u64();
-    r.done();
-    return u;
+    return decode_reply(call(Op::UpgradeModel, w.take()), [](bytes::ByteReader& r) {
+        UpgradeResult u;
+        u.version = r.u64();
+        u.macro_compiles = r.u64();
+        u.macro_reuses = r.u64();
+        u.units_total = r.u64();
+        u.units_reused = r.u64();
+        u.drained = r.u32() != 0;
+        u.state_copied = r.u64();
+        u.state_initialized = r.u64();
+        u.state_dropped = r.u64();
+        u.compile_ns = r.u64();
+        u.swap_ns = r.u64();
+        return u;
+    });
 }
 
 } // namespace sbd::serve

@@ -1,11 +1,6 @@
 #include "serve/protocol.hpp"
 
-#include <bit>
-
 namespace sbd::serve {
-
-static_assert(std::endian::native == std::endian::little,
-              "the SBDS wire format is little-endian; big-endian hosts need byte swaps");
 
 const char* to_string(Op op) {
     switch (op) {
@@ -42,69 +37,44 @@ const char* to_string(Err err) {
     return "UNKNOWN";
 }
 
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
-    std::uint64_t h = 14695981039346656037ULL;
-    for (const std::uint8_t b : bytes) {
-        h ^= b;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
-namespace {
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-template <typename T> T read_le(const std::uint8_t* p) {
-    T v;
-    std::memcpy(&v, p, sizeof(T));
-    return v;
-}
-
-} // namespace
-
 std::vector<std::uint8_t> encode_frame(const Frame& f) {
     if (f.payload.size() > kMaxPayload)
         throw std::length_error("encode_frame: payload exceeds kMaxPayload");
-    std::vector<std::uint8_t> out;
-    out.reserve(kHeaderSize + f.payload.size());
-    put_u32(out, kMagic);
-    put_u16(out, f.version);
-    put_u16(out, static_cast<std::uint16_t>(f.opcode));
-    put_u16(out, static_cast<std::uint16_t>(f.status));
-    put_u16(out, 0); // reserved
-    put_u32(out, static_cast<std::uint32_t>(f.payload.size()));
-    put_u64(out, f.request_id);
-    put_u64(out, fnv1a64(f.payload));
-    out.insert(out.end(), f.payload.begin(), f.payload.end());
-    return out;
+    bytes::ByteWriter w;
+    w.reserve(kHeaderSize + f.payload.size());
+    w.u32(kMagic);
+    w.u16(f.version);
+    w.u16(static_cast<std::uint16_t>(f.opcode));
+    w.u16(static_cast<std::uint16_t>(f.status));
+    w.u16(0); // reserved
+    w.u32(static_cast<std::uint32_t>(f.payload.size()));
+    w.u64(f.request_id);
+    w.u64(bytes::fnv1a64(f.payload));
+    w.bytes(f.payload);
+    return w.take();
 }
 
-DecodeResult decode_frame(std::span<const std::uint8_t> bytes, Frame& out) {
-    if (bytes.size() < 4) return {DecodeStatus::NeedMore, 0};
-    if (read_le<std::uint32_t>(bytes.data()) != kMagic) return {DecodeStatus::BadMagic, 0};
-    if (bytes.size() < kHeaderSize) return {DecodeStatus::NeedMore, 0};
-    const std::uint16_t version = read_le<std::uint16_t>(bytes.data() + 4);
+DecodeResult decode_frame(std::span<const std::uint8_t> in, Frame& out) {
+    if (in.size() < 4) return {DecodeStatus::NeedMore, 0};
+    bytes::ByteReader r(in);
+    if (r.u32() != kMagic) return {DecodeStatus::BadMagic, 0};
+    if (in.size() < kHeaderSize) return {DecodeStatus::NeedMore, 0};
+    const std::uint16_t version = r.u16();
     if (version != kProtocolVersion) return {DecodeStatus::BadVersion, 0};
-    const std::uint32_t payload_len = read_le<std::uint32_t>(bytes.data() + 12);
+    const auto opcode = static_cast<Op>(r.u16());
+    const auto status = static_cast<Err>(r.u16());
+    (void)r.u16(); // reserved
+    const std::uint32_t payload_len = r.u32();
     if (payload_len > kMaxPayload) return {DecodeStatus::Oversized, 0};
-    if (bytes.size() < kHeaderSize + payload_len) return {DecodeStatus::NeedMore, 0};
-    const std::span<const std::uint8_t> payload = bytes.subspan(kHeaderSize, payload_len);
-    if (fnv1a64(payload) != read_le<std::uint64_t>(bytes.data() + 24))
-        return {DecodeStatus::BadChecksum, 0};
+    if (in.size() < kHeaderSize + payload_len) return {DecodeStatus::NeedMore, 0};
+    const std::uint64_t request_id = r.u64();
+    const std::uint64_t checksum = r.u64();
+    const std::span<const std::uint8_t> payload = r.bytes(payload_len);
+    if (bytes::fnv1a64(payload) != checksum) return {DecodeStatus::BadChecksum, 0};
     out.version = version;
-    out.opcode = static_cast<Op>(read_le<std::uint16_t>(bytes.data() + 6));
-    out.status = static_cast<Err>(read_le<std::uint16_t>(bytes.data() + 8));
-    out.request_id = read_le<std::uint64_t>(bytes.data() + 16);
+    out.opcode = opcode;
+    out.status = status;
+    out.request_id = request_id;
     out.payload.assign(payload.begin(), payload.end());
     return {DecodeStatus::Ok, kHeaderSize + payload_len};
 }

@@ -197,7 +197,7 @@ void Server::handle_conn(std::shared_ptr<Conn> conn) {
                         Frame err;
                         err.opcode = static_cast<Op>(0);
                         err.status = e.code();
-                        PayloadWriter w;
+                        bytes::ByteWriter w;
                         w.str(e.what());
                         err.payload = w.take();
                         conn->send_frame(err);
@@ -287,7 +287,7 @@ Frame Server::error_frame(const Frame& req, Err code, const std::string& message
         ->counter("sbd_serve_errors_by_code_total", "coded request rejections by code",
                   {{"code", to_string(code)}})
         .inc();
-    PayloadWriter w;
+    bytes::ByteWriter w;
     w.str(message);
     Frame f;
     f.opcode = req.opcode;
@@ -310,7 +310,7 @@ Frame Server::handle_request(const Frame& req) {
                                "injected dispatch fault (" + std::string(to_string(req.opcode)) +
                                    ")");
         } else {
-            PayloadReader r(req.payload);
+            bytes::ByteReader r(req.payload);
             switch (req.opcode) {
             case Op::CreateInstances: resp = do_create(req, r); break;
             case Op::DestroyInstances: resp = do_destroy(req, r); break;
@@ -328,6 +328,8 @@ Frame Server::handle_request(const Frame& req) {
         }
     } catch (const ServeError& e) {
         resp = error_frame(req, e.code(), e.what());
+    } catch (const bytes::DecodeError&) {
+        resp = error_frame(req, Err::BadPayload, "malformed request payload");
     } catch (const durable::DurableError& e) {
         // journal-then-apply: every append happens before its mutation, so
         // a failed append rejects the request with state untouched.
@@ -351,7 +353,7 @@ Err Server::resolve(const WireHandle& h, std::uint64_t tenant, runtime::Instance
     return Err::Ok;
 }
 
-Frame Server::do_create(const Frame& req, PayloadReader& r) {
+Frame Server::do_create(const Frame& req, bytes::ByteReader& r) {
     const std::uint64_t tenant = r.u64();
     const std::uint32_t count = r.u32();
     r.done();
@@ -366,8 +368,7 @@ Frame Server::do_create(const Frame& req, PayloadReader& r) {
                                std::to_string(live) + " live + " + std::to_string(count) +
                                " requested > " + std::to_string(cfg_.tenant_max_instances));
     }
-    std::size_t total_free = 0;
-    for (const auto& s : shards_) total_free += s->free();
+    const std::size_t total_free = free_slots();
     if (count > total_free)
         return error_frame(req, Err::PoolFull,
                            "no capacity: " + std::to_string(count) + " requested, " +
@@ -377,10 +378,16 @@ Frame Server::do_create(const Frame& req, PayloadReader& r) {
     // placement loop against the same pool state, so the handles it mints
     // match the ones acked here bit-for-bit.
     journal_append(durable::RecordKind::Create, req.payload);
-    PayloadWriter w;
+    bytes::ByteWriter w;
     w.u32(count);
     for (const WireHandle& h : apply_create_locked(tenant, count)) write_handle(w, h);
     return ok_frame(req, w.take());
+}
+
+std::size_t Server::free_slots() const {
+    std::size_t n = 0;
+    for (const auto& s : shards_) n += s->free();
+    return n;
 }
 
 std::vector<WireHandle> Server::apply_create_locked(std::uint64_t tenant,
@@ -399,9 +406,9 @@ std::vector<WireHandle> Server::apply_create_locked(std::uint64_t tenant,
     return out;
 }
 
-Frame Server::do_destroy(const Frame& req, PayloadReader& r) {
+Frame Server::do_destroy(const Frame& req, bytes::ByteReader& r) {
     const std::uint64_t tenant = r.u64();
-    const std::uint32_t count = r.u32();
+    const std::size_t count = r.count(kWireHandleBytes);
     std::vector<WireHandle> handles(count);
     for (WireHandle& h : handles) h = read_handle(r);
     r.done();
@@ -409,31 +416,31 @@ Frame Server::do_destroy(const Frame& req, PayloadReader& r) {
     // Validate the whole batch before destroying anything: a bad handle
     // rejects the request without side effects.
     std::vector<runtime::InstanceId> ids(count);
-    for (std::uint32_t i = 0; i < count; ++i)
+    for (std::size_t i = 0; i < count; ++i)
         if (resolve(handles[i], tenant, &ids[i]) != Err::Ok)
             return error_frame(req, Err::BadHandle,
                                "stale or foreign handle at index " + std::to_string(i));
     journal_append(durable::RecordKind::Destroy, req.payload);
-    for (std::uint32_t i = 0; i < count; ++i) shards_[handles[i].shard]->destroy(ids[i]);
+    for (std::size_t i = 0; i < count; ++i) shards_[handles[i].shard]->destroy(ids[i]);
     tenant_instances_[tenant] -= count;
     refresh_shard_gauges();
     return ok_frame(req);
 }
 
-Frame Server::do_post_inputs(const Frame& req, PayloadReader& r) {
+Frame Server::do_post_inputs(const Frame& req, bytes::ByteReader& r) {
     const std::uint64_t tenant = r.u64();
-    const std::uint32_t count = r.u32();
     const std::size_t nin = shards_[0]->pool().num_inputs();
+    const std::size_t count = r.count(kWireHandleBytes + nin * sizeof(double));
     std::vector<WireHandle> handles(count);
-    std::vector<double> rows(static_cast<std::size_t>(count) * nin);
-    for (std::uint32_t i = 0; i < count; ++i) {
+    std::vector<double> rows(count * nin);
+    for (std::size_t i = 0; i < count; ++i) {
         handles[i] = read_handle(r);
-        r.f64s(std::span(rows).subspan(static_cast<std::size_t>(i) * nin, nin));
+        r.f64s(std::span(rows).subspan(i * nin, nin));
     }
     r.done();
     QueuedShared lk(state_m_, g_queue_depth_);
     std::vector<runtime::InstanceId> ids(count);
-    for (std::uint32_t i = 0; i < count; ++i)
+    for (std::size_t i = 0; i < count; ++i)
         if (resolve(handles[i], tenant, &ids[i]) != Err::Ok)
             return error_frame(req, Err::BadHandle,
                                "stale or foreign handle at index " + std::to_string(i));
@@ -444,15 +451,15 @@ Frame Server::do_post_inputs(const Frame& req, PayloadReader& r) {
         post_order = std::unique_lock(durable_post_m_);
         journal_append(durable::RecordKind::PostInputs, req.payload);
     }
-    for (std::uint32_t i = 0; i < count; ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
         const std::span<double> dst = shards_[handles[i].shard]->pool().inputs(ids[i]);
-        const std::span<const double> src(rows.data() + static_cast<std::size_t>(i) * nin, nin);
+        const std::span<const double> src(rows.data() + i * nin, nin);
         std::copy(src.begin(), src.end(), dst.begin());
     }
     return ok_frame(req);
 }
 
-Frame Server::do_tick(const Frame& req, PayloadReader& r) {
+Frame Server::do_tick(const Frame& req, bytes::ByteReader& r) {
     (void)r.u64(); // tenant: the tick is a global instant; admission is per request
     const std::uint32_t n = r.u32();
     r.done();
@@ -488,7 +495,7 @@ Frame Server::do_tick(const Frame& req, PayloadReader& r) {
         ++executed;
     }
     maybe_checkpoint_locked();
-    PayloadWriter w;
+    bytes::ByteWriter w;
     w.u64(ticks_.load(std::memory_order_relaxed));
     w.u32(executed);
     return ok_frame(req, w.take());
@@ -502,26 +509,26 @@ void Server::step_instant_locked() {
     ticks_.fetch_add(1, std::memory_order_relaxed);
 }
 
-Frame Server::do_read_outputs(const Frame& req, PayloadReader& r) {
+Frame Server::do_read_outputs(const Frame& req, bytes::ByteReader& r) {
     const std::uint64_t tenant = r.u64();
-    const std::uint32_t count = r.u32();
+    const std::size_t count = r.count(kWireHandleBytes);
     std::vector<WireHandle> handles(count);
     for (WireHandle& h : handles) h = read_handle(r);
     r.done();
     QueuedShared lk(state_m_, g_queue_depth_);
     std::vector<runtime::InstanceId> ids(count);
-    for (std::uint32_t i = 0; i < count; ++i)
+    for (std::size_t i = 0; i < count; ++i)
         if (resolve(handles[i], tenant, &ids[i]) != Err::Ok)
             return error_frame(req, Err::BadHandle,
                                "stale or foreign handle at index " + std::to_string(i));
-    PayloadWriter w;
-    w.u32(count);
-    for (std::uint32_t i = 0; i < count; ++i)
+    bytes::ByteWriter w;
+    w.u32(static_cast<std::uint32_t>(count));
+    for (std::size_t i = 0; i < count; ++i)
         w.f64s(shards_[handles[i].shard]->pool().outputs(ids[i]));
     return ok_frame(req, w.take());
 }
 
-Frame Server::do_snapshot(const Frame& req, PayloadReader& r) {
+Frame Server::do_snapshot(const Frame& req, bytes::ByteReader& r) {
     const std::uint64_t tenant = r.u64();
     const WireHandle h = read_handle(r);
     r.done();
@@ -530,21 +537,21 @@ Frame Server::do_snapshot(const Frame& req, PayloadReader& r) {
     if (resolve(h, tenant, &id) != Err::Ok)
         return error_frame(req, Err::BadHandle, "stale or foreign handle");
     const std::vector<double> blob = shards_[h.shard]->pool().snapshot_state(id);
-    PayloadWriter w;
+    bytes::ByteWriter w;
     w.u32(static_cast<std::uint32_t>(blob.size()));
     w.f64s(blob);
     return ok_frame(req, w.take());
 }
 
-Frame Server::do_stats(const Frame& req, PayloadReader& r) {
+Frame Server::do_stats(const Frame& req, bytes::ByteReader& r) {
     (void)r.u64(); // tenant
     r.done();
-    PayloadWriter w;
+    bytes::ByteWriter w;
     w.str(metrics_text()); // takes the shared lock itself
     return ok_frame(req, w.take());
 }
 
-Frame Server::do_shutdown(const Frame& req, PayloadReader& r) {
+Frame Server::do_shutdown(const Frame& req, bytes::ByteReader& r) {
     (void)r.u64(); // tenant
     r.done();
     // The reply goes out first; handle_conn() then calls request_stop(), so
@@ -552,7 +559,7 @@ Frame Server::do_shutdown(const Frame& req, PayloadReader& r) {
     return ok_frame(req);
 }
 
-Frame Server::do_upgrade(const Frame& req, PayloadReader& r) {
+Frame Server::do_upgrade(const Frame& req, bytes::ByteReader& r) {
     (void)r.u64(); // tenant: upgrades are control-plane, fleet-wide
     const std::uint32_t flags = r.u32();
     const std::string source = r.str();
@@ -631,7 +638,7 @@ Frame Server::do_upgrade(const Frame& req, PayloadReader& r) {
         // upgrade deterministically — post-upgrade journal records are
         // never replayed against the pre-upgrade model.
         if (store_ != nullptr) {
-            PayloadWriter jw;
+            bytes::ByteWriter jw;
             jw.u32(flags);
             jw.str(source);
             const std::vector<std::uint8_t> jrec = jw.take();
@@ -660,7 +667,7 @@ Frame Server::do_upgrade(const Frame& req, PayloadReader& r) {
     h_upgrade_swap_ns_.observe(swap_ns);
     g_model_version_.set(static_cast<std::int64_t>(next.version));
 
-    PayloadWriter w;
+    bytes::ByteWriter w;
     w.u64(next.version);
     w.u64(next.macro_compiles);
     w.u64(next.macro_reuses);
@@ -707,7 +714,7 @@ void Server::write_checkpoint_locked() {
 }
 
 std::vector<std::uint8_t> Server::checkpoint_payload_locked() const {
-    PayloadWriter w;
+    bytes::ByteWriter w;
     w.u64(model_version_.load(std::memory_order_relaxed));
     w.str(model_source_);
     w.u64(ticks_.load(std::memory_order_relaxed));
@@ -745,7 +752,7 @@ std::vector<std::uint8_t> Server::checkpoint_payload_locked() const {
 void Server::restore_checkpoint(std::span<const std::uint8_t> payload) {
     static const runtime::DrainMigrator kDrain;
     try {
-        PayloadReader r(payload);
+        bytes::ByteReader r(payload);
         const std::uint64_t version = r.u64();
         const std::string source = r.str();
         const std::uint64_t ticks = r.u64();
@@ -761,6 +768,7 @@ void Server::restore_checkpoint(std::span<const std::uint8_t> payload) {
             throw durable::DurableError(
                 "durable: checkpoint has " + std::to_string(nshards) + " shards, server booted with " +
                 std::to_string(shards_.size()) + " — restart with the original topology");
+        if (next_shard >= shards_.size()) throw bytes::DecodeError(bytes::Reject::BadValue);
         // The checkpoint's blobs are laid out for the checkpointed model
         // version; rebind the (still empty) shards to it before restoring.
         if (version != 1 || (!source.empty() && source != model_source_))
@@ -774,9 +782,9 @@ void Server::restore_checkpoint(std::span<const std::uint8_t> payload) {
                     " != configured " + std::to_string(pool.capacity()) +
                     " — restart with the original topology");
             runtime::InstancePool::Image img;
-            img.free_order.resize(r.u32());
+            img.free_order.resize(r.count(4));
             for (std::uint32_t& s : img.free_order) s = r.u32();
-            img.live_order.resize(r.u32());
+            img.live_order.resize(r.count(4));
             for (std::uint32_t& s : img.live_order) s = r.u32();
             img.generations.resize(cap);
             for (std::uint32_t& g : img.generations) g = r.u32();
@@ -787,7 +795,7 @@ void Server::restore_checkpoint(std::span<const std::uint8_t> payload) {
             }
             img.blobs.resize(img.live_order.size());
             for (std::vector<double>& blob : img.blobs) {
-                blob.resize(r.u32());
+                blob.resize(r.count(sizeof(double)));
                 r.f64s(blob);
             }
             pool.restore_image(img);
@@ -802,7 +810,7 @@ void Server::restore_checkpoint(std::span<const std::uint8_t> payload) {
         model_version_.store(version, std::memory_order_relaxed);
         g_model_version_.set(static_cast<std::int64_t>(version));
         last_checkpoint_ticks_ = ticks;
-    } catch (const ServeError&) {
+    } catch (const bytes::DecodeError&) {
         throw durable::DurableError(
             "durable: checkpoint payload does not parse — written by an incompatible build?");
     } catch (const std::invalid_argument& e) {
@@ -844,26 +852,28 @@ void Server::install_version_for_recovery(const std::string& source, std::uint64
 }
 
 void Server::replay_record(const durable::Record& rec) {
-    PayloadReader r(rec.payload);
+    bytes::ByteReader r(rec.payload);
     switch (rec.kind) {
     case durable::RecordKind::Create: {
         const std::uint64_t tenant = r.u64();
         const std::uint32_t count = r.u32();
         r.done();
+        if (count > free_slots())
+            throw durable::DurableError("durable: replay diverged on CREATE count");
         apply_create_locked(tenant, count);
         return;
     }
     case durable::RecordKind::Destroy: {
         const std::uint64_t tenant = r.u64();
-        const std::uint32_t count = r.u32();
+        const std::size_t count = r.count(kWireHandleBytes);
         std::vector<WireHandle> handles(count);
         for (WireHandle& h : handles) h = read_handle(r);
         r.done();
         std::vector<runtime::InstanceId> ids(count);
-        for (std::uint32_t i = 0; i < count; ++i)
+        for (std::size_t i = 0; i < count; ++i)
             if (resolve(handles[i], tenant, &ids[i]) != Err::Ok)
                 throw durable::DurableError("durable: replay diverged on DESTROY handle");
-        for (std::uint32_t i = 0; i < count; ++i) shards_[handles[i].shard]->destroy(ids[i]);
+        for (std::size_t i = 0; i < count; ++i) shards_[handles[i].shard]->destroy(ids[i]);
         tenant_instances_[tenant] -= count;
         return;
     }

@@ -153,21 +153,25 @@ public:
     /// both STATS and GET /metrics return.
     std::string metrics_text();
 
+    /// Executes one decoded request and returns its response; never
+    /// throws. Every refusal, a payload that does not decode included, is
+    /// a coded error frame.
+    Frame handle_request(const Frame& req);
+
 private:
     void accept_loop();
     void handle_conn(std::shared_ptr<Conn> conn);
     void handle_http(Conn& conn);
-    Frame handle_request(const Frame& req);
 
-    Frame do_create(const Frame& req, PayloadReader& r);
-    Frame do_destroy(const Frame& req, PayloadReader& r);
-    Frame do_post_inputs(const Frame& req, PayloadReader& r);
-    Frame do_tick(const Frame& req, PayloadReader& r);
-    Frame do_read_outputs(const Frame& req, PayloadReader& r);
-    Frame do_snapshot(const Frame& req, PayloadReader& r);
-    Frame do_stats(const Frame& req, PayloadReader& r);
-    Frame do_shutdown(const Frame& req, PayloadReader& r);
-    Frame do_upgrade(const Frame& req, PayloadReader& r);
+    Frame do_create(const Frame& req, bytes::ByteReader& r);
+    Frame do_destroy(const Frame& req, bytes::ByteReader& r);
+    Frame do_post_inputs(const Frame& req, bytes::ByteReader& r);
+    Frame do_tick(const Frame& req, bytes::ByteReader& r);
+    Frame do_read_outputs(const Frame& req, bytes::ByteReader& r);
+    Frame do_snapshot(const Frame& req, bytes::ByteReader& r);
+    Frame do_stats(const Frame& req, bytes::ByteReader& r);
+    Frame do_shutdown(const Frame& req, bytes::ByteReader& r);
+    Frame do_upgrade(const Frame& req, bytes::ByteReader& r);
 
     Frame ok_frame(const Frame& req, std::vector<std::uint8_t> payload = {});
     Frame error_frame(const Frame& req, Err code, const std::string& message);
@@ -184,6 +188,8 @@ private:
     /// Advances every shard one instant and bumps the tick counters (the
     /// shared core of do_tick and TICK-record replay).
     void step_instant_locked();
+    /// Unused instance slots across all shards.
+    std::size_t free_slots() const;
     /// CREATE's placement loop + bookkeeping (shared with replay); the
     /// caller has already admitted the batch.
     std::vector<WireHandle> apply_create_locked(std::uint64_t tenant, std::uint32_t count);

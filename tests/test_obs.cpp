@@ -1,6 +1,6 @@
 // Observability subsystem tests: metrics registry semantics (including the
 // multi-threaded hot path), exporter formats (Prometheus golden file,
-// Chrome-trace JSON schema, SBDO binary roundtrip), and the instrumentation
+// Chrome-trace JSON schema), and the instrumentation
 // contracts of the pipeline and the runtime engine — warm-vs-cold registry
 // equality and bit-exact outputs with instrumentation disabled.
 
@@ -512,38 +512,6 @@ TEST(TraceSpans, ChromeTraceJsonValidatesAgainstSchema) {
         EXPECT_TRUE(e.at("args").has("depth"));
     }
     EXPECT_EQ(events[0].at("args").at("detail").str(), "Block\"quoted\"");
-}
-
-TEST(TraceSpans, BinaryFormatRoundTripsAndRejectsCorruption) {
-    std::vector<obs::SpanEvent> events(3);
-    events[0] = {"alpha", "detail-0", "catA", 100, 50, 0, 0};
-    events[1] = {"beta", "", "catB", 120, 10, 1, 1};
-    events[2] = {"gamma", "detail-2", "catA", 200, 1, 0, 2};
-
-    const std::vector<std::uint8_t> buf = obs::serialize_spans(events);
-    const std::vector<obs::SpanEvent> back = obs::deserialize_spans(buf);
-    ASSERT_EQ(back.size(), events.size());
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        EXPECT_EQ(back[i].name, events[i].name);
-        EXPECT_EQ(back[i].detail, events[i].detail);
-        EXPECT_EQ(back[i].cat, events[i].cat);
-        EXPECT_EQ(back[i].start_ns, events[i].start_ns);
-        EXPECT_EQ(back[i].dur_ns, events[i].dur_ns);
-        EXPECT_EQ(back[i].tid, events[i].tid);
-        EXPECT_EQ(back[i].depth, events[i].depth);
-    }
-
-    std::vector<std::uint8_t> truncated(buf.begin(), buf.end() - 3);
-    EXPECT_THROW((void)obs::deserialize_spans(truncated), std::runtime_error);
-    std::vector<std::uint8_t> bad_magic = buf;
-    bad_magic[0] = 'X';
-    EXPECT_THROW((void)obs::deserialize_spans(bad_magic), std::runtime_error);
-    std::vector<std::uint8_t> bad_version = buf;
-    bad_version[4] = 99;
-    EXPECT_THROW((void)obs::deserialize_spans(bad_version), std::runtime_error);
-    std::vector<std::uint8_t> trailing = buf;
-    trailing.push_back(0);
-    EXPECT_THROW((void)obs::deserialize_spans(trailing), std::runtime_error);
 }
 
 // --------------------------------------------- pipeline + cache instrumentation

@@ -220,8 +220,8 @@ inline void add_obs_flags(ArgParser& p, ObsOptions* o) {
     p.flag("--metrics-format", "F", "prom | json | table (overrides the extension rule)",
            &o->metrics_format);
     p.flag("--trace-out", "FILE",
-           "record trace spans and write them on exit (.json = Chrome\n"
-           "                 about:tracing, else compact SBDO binary)",
+           "record trace spans and write them on exit as Chrome\n"
+           "                 about:tracing JSON",
            &o->trace_out);
 }
 

@@ -99,7 +99,7 @@ int journal_dump(const std::string& path) {
                         static_cast<unsigned long long>(rec.seq), to_string(rec.kind),
                         rec.payload.size());
             try {
-                serve::PayloadReader r(rec.payload);
+                bytes::ByteReader r(rec.payload);
                 switch (rec.kind) {
                 case durable::RecordKind::Create:
                 case durable::RecordKind::Destroy:
@@ -119,7 +119,7 @@ int journal_dump(const std::string& path) {
                     break;
                 }
                 }
-            } catch (const serve::ServeError&) {
+            } catch (const bytes::DecodeError&) {
                 std::printf(" (payload not decodable)");
             }
             std::printf("\n");

@@ -352,6 +352,11 @@ struct MethodLawsCase {
     std::size_t internals;
 };
 
+// Printed by value so the discovered test names carry no load address.
+void PrintTo(const MethodLawsCase& c, std::ostream* os) {
+    *os << c.name << " (seed " << c.seed << ", " << c.internals << " internals)";
+}
+
 class MethodLaws : public ::testing::TestWithParam<MethodLawsCase> {};
 
 TEST_P(MethodLaws, CountAndValidityOrderings) {

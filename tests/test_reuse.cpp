@@ -90,6 +90,11 @@ struct ScoreCase {
     double max_score;
 };
 
+// Printed by field so the discovered test names never show padding bytes.
+void PrintTo(const ScoreCase& c, std::ostream* os) {
+    *os << method_id(c.method) << ", score " << c.min_score << " to " << c.max_score;
+}
+
 class ReusabilityScore : public ::testing::TestWithParam<ScoreCase> {};
 
 TEST_P(ReusabilityScore, OnWholeSuite) {

@@ -144,6 +144,10 @@ struct BadCase {
     const char* text;
 };
 
+// Without this gtest prints the case as raw bytes, so the two pointers
+// would put load addresses into the discovered test names.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
+
 class SbdParseErrors : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(SbdParseErrors, Rejected) {

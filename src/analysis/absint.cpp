@@ -520,30 +520,6 @@ BlockSummary top_summary(std::size_t nouts) {
     return s;
 }
 
-std::vector<std::size_t> topo_order(const codegen::Profile& prof) {
-    const std::size_t n = prof.functions.size();
-    std::vector<std::size_t> indeg(n, 0);
-    std::vector<std::vector<std::size_t>> adj(n);
-    for (const auto& [a, b] : prof.pdg_edges) {
-        adj[a].push_back(b);
-        ++indeg[b];
-    }
-    std::vector<std::size_t> order;
-    order.reserve(n);
-    std::vector<bool> done(n, false);
-    for (std::size_t round = 0; round < n; ++round) {
-        // Smallest ready index first: deterministic across platforms.
-        std::size_t pick = n;
-        for (std::size_t i = 0; i < n; ++i)
-            if (!done[i] && indeg[i] == 0) { pick = i; break; }
-        if (pick == n) break; // cyclic PDG: compiler would have rejected it
-        done[pick] = true;
-        order.push_back(pick);
-        for (const std::size_t b : adj[pick]) --indeg[b];
-    }
-    return order;
-}
-
 std::string interval_key(const Interval& iv) {
     char buf[48];
     std::snprintf(buf, sizeof buf, "%016llx%016llx%c",
@@ -654,7 +630,7 @@ BlockSummary Analyzer::compute_macro(const MacroBlock& m, std::span<const Interv
                                      std::span<const Interval> all_in) {
     const codegen::CompiledBlock& cb = sys_->at(m);
     const codegen::CodeUnit& code = *cb.code;
-    const std::vector<std::size_t> order = topo_order(cb.profile);
+    const std::vector<std::size_t> order = codegen::step_order(cb.profile);
 
     // Per-sub accumulation across every abstract pass: argument intervals
     // (first instant vs. all instants), trigger intervals, call evidence.

@@ -19,6 +19,12 @@ struct CompiledBlock {
     std::optional<Sdg> sdg;
     std::optional<Clustering> clustering;
     std::optional<CodeUnit> code;
+    /// Doubles of persistent state in one instance of the block, in the
+    /// layout every backend, snapshot and migration plan shares: an atomic
+    /// block's state; for a macro, its signal slots, then its guard counters,
+    /// then each sub-instance's state depth-first in sub order. Opaque
+    /// blocks have none. Set once by Pipeline::compile; never cached.
+    std::size_t state_size = 0;
 };
 
 /// The result of modular, bottom-up compilation of a block hierarchy. The

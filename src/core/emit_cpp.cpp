@@ -278,68 +278,4 @@ std::string emit_cpp_class_name(const CompiledSystem& sys, const Block& block) {
     return names.of(block);
 }
 
-std::vector<std::vector<double>> lcg_input_trace(std::size_t num_inputs, std::size_t steps,
-                                                 std::uint64_t seed) {
-    std::vector<std::vector<double>> trace(steps, std::vector<double>(num_inputs));
-    std::uint64_t s = seed;
-    for (std::size_t t = 0; t < steps; ++t)
-        for (std::size_t i = 0; i < num_inputs; ++i) {
-            s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-            trace[t][i] = static_cast<double>((s >> 33) & 0xFFFF) / 4096.0 - 8.0;
-        }
-    return trace;
-}
-
-std::string emit_cpp_driver(const CompiledSystem& sys, std::size_t steps, std::uint64_t seed) {
-    const CompiledBlock& root = sys.root();
-    if (root.block->is_atomic())
-        throw std::runtime_error("emit_cpp_driver: root must be a macro block");
-    const auto& m = static_cast<const MacroBlock&>(*root.block);
-    const Profile& p = root.profile;
-
-    // PDG-consistent call order.
-    graph::Digraph pdg(p.functions.size());
-    for (const auto& [a, b] : p.pdg_edges)
-        pdg.add_edge(static_cast<graph::NodeId>(a), static_cast<graph::NodeId>(b));
-    const auto order = pdg.topological_order();
-    if (!order) throw std::runtime_error("emit_cpp_driver: cyclic PDG");
-
-    // Rebuild the same name table emit_cpp produced (same visit order).
-    NameTable names;
-    for (const Block* b : sys.order()) names.of(*b);
-    std::ostringstream os;
-    os << "#include <cstdio>\n#include <cstdint>\n\n"
-       << "int main() {\n"
-       << "  gen::" << names.of(m) << " root;\n"
-       << "  root.init();\n"
-       << "  std::uint64_t s = " << seed << "ULL;\n"
-       << "  auto rnd = [&]() { s = s * 6364136223846793005ULL + 1442695040888963407ULL;\n"
-       << "    return static_cast<double>((s >> 33) & 0xFFFF) / 4096.0 - 8.0; };\n"
-       << "  double in[" << std::max<std::size_t>(m.num_inputs(), 1) << "];\n"
-       << "  double out[" << std::max<std::size_t>(m.num_outputs(), 1) << "];\n"
-       << "  for (std::size_t t = 0; t < " << steps << "; ++t) {\n"
-       << "    for (std::size_t i = 0; i < " << m.num_inputs() << "; ++i) in[i] = rnd();\n";
-    for (const auto f : *order) {
-        const InterfaceFunction& fn = p.functions[f];
-        std::string call = "root." + fn.name + "(";
-        for (std::size_t i = 0; i < fn.reads.size(); ++i)
-            call += (i ? ", in[" : "in[") + std::to_string(fn.reads[i]) + "]";
-        call += ")";
-        if (fn.writes.empty()) {
-            os << "    " << call << ";\n";
-        } else if (fn.writes.size() == 1) {
-            os << "    out[" << fn.writes[0] << "] = " << call << ";\n";
-        } else {
-            os << "    { const auto r = " << call << ";";
-            for (std::size_t i = 0; i < fn.writes.size(); ++i)
-                os << " out[" << fn.writes[i] << "] = r[" << i << "];";
-            os << " }\n";
-        }
-    }
-    os << "    for (std::size_t o = 0; o < " << m.num_outputs()
-       << "; ++o) std::printf(\"%.17g\\n\", out[o]);\n"
-       << "  }\n  return 0;\n}\n";
-    return os.str();
-}
-
 } // namespace sbd::codegen

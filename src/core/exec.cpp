@@ -3,18 +3,57 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 
 namespace sbd::codegen {
+
+namespace {
+
+void reject_opaque(const Block& b) {
+    if (b.is_opaque())
+        throw std::logic_error("cannot execute interface-only (opaque) block '" + b.type_name() +
+                               "'");
+}
+
+/// Throws unless every guard counter in `state`, the state of one instance
+/// of `cb`, is an integer in [0, modulus) — the only values the generated
+/// code's int counters can take, so no backend converts anything else.
+void check_counters(const CompiledSystem& sys, const CompiledBlock& cb,
+                    std::span<const double> state) {
+    if (!cb.code) return;
+    const CodeUnit& code = *cb.code;
+    std::size_t at = code.num_slots;
+    for (const std::int32_t mod : code.counter_mods) {
+        const double c = state[at++];
+        if (!(c >= 0 && c < mod && c == std::floor(c)))
+            throw std::invalid_argument("Instance::restore_state: guard counter out of range");
+    }
+    const auto& macro = static_cast<const MacroBlock&>(*cb.block);
+    for (std::size_t s = 0; s < macro.num_subs(); ++s) {
+        const CompiledBlock& sub = sys.at(*macro.sub(s).type);
+        check_counters(sys, sub, state.subspan(at, sub.state_size));
+        at += sub.state_size;
+    }
+}
+
+/// Instances in the tree of one instance of `b`, itself included.
+std::size_t count_instances(const Block& b) {
+    if (b.is_atomic()) return 1;
+    const auto& macro = static_cast<const MacroBlock&>(b);
+    std::size_t n = 1;
+    for (std::size_t s = 0; s < macro.num_subs(); ++s) n += count_instances(*macro.sub(s).type);
+    return n;
+}
+
+} // namespace
 
 // ---------------------------------------------------------------------------
 // Instance: backend-neutral validation and the generic call plumbing.
 
 Instance::Instance(const CompiledSystem& sys, BlockPtr block)
     : sys_(&sys), block_(std::move(block)), compiled_(&sys.at(*block_)) {
-    if (block_->is_opaque())
-        throw std::logic_error("cannot execute interface-only (opaque) block '" +
-                               block_->type_name() + "'");
+    reject_opaque(*block_);
 }
 
 std::size_t Instance::results_size(std::size_t fn) const {
@@ -83,6 +122,7 @@ std::size_t Instance::restore_state(std::span<const double> in) {
     const std::size_t n = state_size();
     if (in.size() < n)
         throw std::invalid_argument("Instance::restore_state: state blob too short");
+    check_counters(*sys_, *compiled_, in.first(n));
     do_restore_state(in.first(n));
     return n;
 }
@@ -91,118 +131,100 @@ std::size_t Instance::restore_state(std::span<const double> in) {
 // InterpInstance: the IR interpreter.
 
 InterpInstance::InterpInstance(const CompiledSystem& sys, BlockPtr block)
-    : Instance(sys, std::move(block)) {
-    std::size_t max_call_args = 0;
-    std::size_t max_call_results = 0;
-    if (!block_->is_atomic()) {
-        const auto& macro = static_cast<const MacroBlock&>(*block_);
-        const CodeUnit& code = *compiled_->code;
-        slots_.resize(code.num_slots, 0.0);
-        counters_.resize(code.counter_mods.size(), 0);
-        subs_.reserve(macro.num_subs());
-        for (std::size_t s = 0; s < macro.num_subs(); ++s)
-            subs_.push_back(std::make_unique<InterpInstance>(sys, macro.sub(s).type));
+    : Instance(sys, std::move(block)), state_(compiled_->state_size),
+      step_order_(step_order(compiled_->profile)) {
+    // Breadth-first, so each macro's subs get contiguous frames; state
+    // offsets follow the depth-first save_state layout.
+    frames_.reserve(count_instances(*block_));
+    frames_.push_back({compiled_, 0, 0, 0});
+    std::size_t scratch = 0;
+    for (std::size_t f = 0; f < frames_.size(); ++f) {
+        const CompiledBlock& cb = *frames_[f].cb;
+        if (!cb.code) continue;
+        const CodeUnit& code = *cb.code;
+        frames_[f].first_sub = frames_.size();
+        frames_[f].scratch = scratch;
         for (const GenFunction& gen : code.functions)
             for (const Stmt& s : gen.body)
-                if (const auto* call = std::get_if<CallStmt>(&s)) {
-                    max_call_args = std::max(max_call_args, call->args.size());
-                    max_call_results = std::max(max_call_results, call->results.size());
-                }
+                if (const auto* call = std::get_if<CallStmt>(&s))
+                    scratch = std::max(scratch, frames_[f].scratch + call->args.size() +
+                                                    call->results.size());
+        std::size_t base = frames_[f].base + code.num_slots + code.counter_mods.size();
+        const auto& macro = static_cast<const MacroBlock&>(*cb.block);
+        for (std::size_t s = 0; s < macro.num_subs(); ++s) {
+            const Block& sub = *macro.sub(s).type;
+            reject_opaque(sub);
+            const CompiledBlock& sub_cb = sys.at(sub);
+            frames_.push_back({&sub_cb, base, 0, 0});
+            base += sub_cb.state_size;
+        }
     }
-    // Precompute a PDG-consistent call order for step_instant().
-    const Profile& p = compiled_->profile;
-    graph::Digraph pdg(p.functions.size());
-    for (const auto& [a, b] : p.pdg_edges)
-        pdg.add_edge(static_cast<graph::NodeId>(a), static_cast<graph::NodeId>(b));
-    const auto order = pdg.topological_order();
-    assert(order.has_value());
-    pdg_order_.assign(order->begin(), order->end());
-    // Size every scratch buffer once so that call_into()/step_instant_into()
-    // never allocate: vectors keep their capacity across the resize() calls
-    // in the hot path below.
+    scratch_.resize(scratch);
     std::size_t max_fn_reads = 0;
     std::size_t max_fn_writes = 0;
-    for (const InterfaceFunction& f : p.functions) {
+    for (const InterfaceFunction& f : compiled_->profile.functions) {
         max_fn_reads = std::max(max_fn_reads, f.reads.size());
         max_fn_writes = std::max(max_fn_writes, f.writes.size());
     }
-    scratch_args_.reserve(max_call_args);
-    scratch_results_.reserve(std::max(max_call_results, block_->num_outputs()));
-    step_args_.reserve(max_fn_reads);
-    step_results_.reserve(std::max(max_fn_writes, block_->num_outputs()));
+    step_args_.resize(max_fn_reads);
+    step_results_.resize(max_fn_writes);
     do_init();
 }
 
 void InterpInstance::do_init() {
-    if (block_->is_atomic()) {
-        state_ = static_cast<const AtomicBlock&>(*block_).initial_state();
-        return;
-    }
-    std::fill(slots_.begin(), slots_.end(), 0.0);
-    std::fill(counters_.begin(), counters_.end(), 0);
-    for (const auto& sub : subs_) sub->do_init();
-}
-
-std::size_t InterpInstance::do_state_size() const {
-    std::size_t n = state_.size() + slots_.size() + counters_.size();
-    for (const auto& sub : subs_) n += sub->do_state_size();
-    return n;
+    std::fill(state_.begin(), state_.end(), 0.0);
+    for (const Frame& f : frames_)
+        if (!f.cb->code) {
+            const auto& init = static_cast<const AtomicBlock&>(*f.cb->block).initial_state();
+            std::copy(init.begin(), init.end(), state_.data() + f.base);
+        }
 }
 
 void InterpInstance::do_save_state(std::vector<double>& out) const {
     out.insert(out.end(), state_.begin(), state_.end());
-    out.insert(out.end(), slots_.begin(), slots_.end());
-    for (const std::int32_t c : counters_) out.push_back(static_cast<double>(c));
-    for (const auto& sub : subs_) sub->do_save_state(out);
 }
 
 void InterpInstance::do_restore_state(std::span<const double> in) {
-    std::size_t at = 0;
-    for (double& v : state_) v = in[at++];
-    for (double& v : slots_) v = in[at++];
-    for (std::int32_t& c : counters_) c = static_cast<std::int32_t>(in[at++]);
-    for (const auto& sub : subs_) {
-        const std::size_t n = sub->do_state_size();
-        sub->do_restore_state(in.subspan(at, n));
-        at += n;
-    }
+    std::copy(in.begin(), in.end(), state_.begin());
 }
 
 void InterpInstance::do_call_into(std::size_t fn, std::span<const double> args,
                                   std::span<double> results) {
-    if (block_->is_atomic())
-        call_atomic_into(fn, args, results);
-    else
-        call_macro_into(fn, args, results);
+    call_frame(frames_[0], fn, args, results);
 }
 
-void InterpInstance::call_atomic_into(std::size_t fn, std::span<const double> args,
-                                      std::span<double> results) {
-    const auto& atomic = static_cast<const AtomicBlock&>(*block_);
-    switch (atomic.block_class()) {
-    case BlockClass::Combinational:
-        atomic.compute_outputs(state_, args, results);
-        return;
-    case BlockClass::Sequential:
-        atomic.compute_outputs(state_, args, results);
-        atomic.update_state(state_, args);
-        return;
-    case BlockClass::MooreSequential:
-        if (fn == 0) { // get(): outputs from state only
-            atomic.compute_outputs(state_, {}, results);
+void InterpInstance::call_frame(const Frame& f, std::size_t fn, std::span<const double> args,
+                                std::span<double> results) {
+    if (!f.cb->code) {
+        const auto& atomic = static_cast<const AtomicBlock&>(*f.cb->block);
+        const std::span<double> state(state_.data() + f.base, f.cb->state_size);
+        switch (atomic.block_class()) {
+        case BlockClass::Combinational:
+            atomic.compute_outputs(state, args, results);
+            return;
+        case BlockClass::Sequential:
+            atomic.compute_outputs(state, args, results);
+            atomic.update_state(state, args);
+            return;
+        case BlockClass::MooreSequential:
+            if (fn == 0) { // get(): outputs from state only
+                atomic.compute_outputs(state, {}, results);
+                return;
+            }
+            atomic.update_state(state, args); // step(): state update
             return;
         }
-        atomic.update_state(state_, args); // step(): state update
         return;
     }
-}
 
-void InterpInstance::call_macro_into(std::size_t fn, std::span<const double> args,
-                                     std::span<double> results) {
-    const GenFunction& gen = compiled_->code->functions[fn];
+    const CodeUnit& code = *f.cb->code;
+    const GenFunction& gen = code.functions[fn];
+    double* const slots = state_.data() + f.base;
+    double* const counters = slots + code.num_slots;
+    double* const scratch = scratch_.data() + f.scratch;
     const auto& reads = gen.sig.reads;
     const auto value = [&](const ValueRef& v) -> double {
-        if (v.kind == ValueRef::Kind::Slot) return slots_[v.index];
+        if (v.kind == ValueRef::Kind::Slot) return slots[v.index];
         // Param: position of the input port within this function's reads.
         const auto it = std::lower_bound(reads.begin(), reads.end(),
                                          static_cast<std::size_t>(v.index));
@@ -213,7 +235,7 @@ void InterpInstance::call_macro_into(std::size_t fn, std::span<const double> arg
     for (std::size_t idx = 0; idx < gen.body.size(); ++idx) {
         const Stmt& s = gen.body[idx];
         if (const auto* gb = std::get_if<GuardBegin>(&s)) {
-            if (counters_[gb->counter] != 0) {
+            if (counters[gb->counter] != 0) {
                 // Skip to the matching GuardEnd (guards never nest).
                 while (!std::holds_alternative<GuardEnd>(gen.body[idx])) ++idx;
             }
@@ -221,23 +243,25 @@ void InterpInstance::call_macro_into(std::size_t fn, std::span<const double> arg
         }
         if (std::holds_alternative<GuardEnd>(s)) continue;
         if (const auto* bump = std::get_if<BumpStmt>(&s)) {
-            counters_[bump->counter] = (counters_[bump->counter] + 1) % bump->mod;
+            // (c + 1) % mod, exactly, for the integer counters in [0, mod).
+            double& c = counters[bump->counter];
+            c = c + 1 == bump->mod ? 0 : c + 1;
             continue;
         }
         if (const auto* assign = std::get_if<AssignStmt>(&s)) {
-            slots_[assign->dst_slot] = value(assign->src);
+            slots[assign->dst_slot] = value(assign->src);
             continue;
         }
         const auto& call = std::get<CallStmt>(s);
         if (call.trigger && value(*call.trigger) < 0.5)
             continue; // hold: result slots keep their previous values
-        scratch_args_.clear();
-        for (const ValueRef& a : call.args) scratch_args_.push_back(value(a));
-        scratch_results_.resize(call.results.size());
-        subs_[call.sub]->call_into(static_cast<std::size_t>(call.fn), scratch_args_,
-                                   scratch_results_);
+        const std::size_t nargs = call.args.size();
+        for (std::size_t a = 0; a < nargs; ++a) scratch[a] = value(call.args[a]);
+        call_frame(frames_[f.first_sub + static_cast<std::size_t>(call.sub)],
+                   static_cast<std::size_t>(call.fn), {scratch, nargs},
+                   {scratch + nargs, call.results.size()});
         for (std::size_t r = 0; r < call.results.size(); ++r)
-            slots_[call.results[r]] = scratch_results_[r];
+            slots[call.results[r]] = scratch[nargs + r];
     }
 
     assert(results.size() == gen.returns.size());
@@ -248,12 +272,11 @@ void InterpInstance::do_step_instant_into(std::span<const double> inputs,
                                           std::span<double> outputs) {
     const Profile& p = compiled_->profile;
     std::fill(outputs.begin(), outputs.end(), 0.0);
-    for (const std::size_t f : pdg_order_) {
+    for (const std::size_t f : step_order_) {
         const InterfaceFunction& sig = p.functions[f];
-        step_args_.clear();
-        for (const std::size_t port : sig.reads) step_args_.push_back(inputs[port]);
-        step_results_.resize(sig.writes.size());
-        call_into(f, step_args_, step_results_);
+        for (std::size_t r = 0; r < sig.reads.size(); ++r) step_args_[r] = inputs[sig.reads[r]];
+        call_frame(frames_[0], f, {step_args_.data(), sig.reads.size()},
+                   {step_results_.data(), sig.writes.size()});
         for (std::size_t w = 0; w < sig.writes.size(); ++w)
             outputs[sig.writes[w]] = step_results_[w];
     }

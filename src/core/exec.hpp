@@ -75,11 +75,11 @@ public:
     const Block& block() const { return *block_; }
 
     /// Number of doubles save_state() appends: the complete persistent
-    /// footprint (atomic block state, signal slots, guard counters,
-    /// sub-instances depth-first). Fixed for a given compiled system and
-    /// identical across backends — the layout is the serialization contract
-    /// that lets a snapshot taken from one backend restore into the other.
-    std::size_t state_size() const { return do_state_size(); }
+    /// footprint, CompiledBlock::state_size of the root. The layout (atomic
+    /// block state, signal slots, guard counters, sub-instances depth-first)
+    /// is identical across backends — the serialization contract that lets a
+    /// snapshot taken from one backend restore into the other.
+    std::size_t state_size() const { return compiled_->state_size; }
     /// Appends the instance's complete persistent state to `out` in the
     /// fixed state_size() layout. Guard counters are widened to double
     /// (int32 values are exactly representable), so a state blob is a flat
@@ -87,7 +87,8 @@ public:
     void save_state(std::vector<double>& out) const;
     /// Restores state written by save_state() into this instance; returns
     /// the number of values consumed. Throws std::invalid_argument when
-    /// `in` holds fewer than state_size() values.
+    /// `in` holds fewer than state_size() values or when a guard counter in
+    /// it is not an integer in [0, modulus).
     std::size_t restore_state(std::span<const double> in);
 
 protected:
@@ -100,7 +101,6 @@ protected:
                               std::span<double> results) = 0;
     virtual void do_step_instant_into(std::span<const double> inputs,
                                       std::span<double> outputs) = 0;
-    virtual std::size_t do_state_size() const = 0;
     virtual void do_save_state(std::vector<double>& out) const = 0;
     virtual void do_restore_state(std::span<const double> in) = 0;
 
@@ -109,9 +109,11 @@ protected:
     const CompiledBlock* compiled_;
 };
 
-/// The interpreter backend: walks the generated IR (core/ir.hpp) directly,
-/// with sub-instances instantiated recursively. This is the reference
-/// execution path every other backend is differentially tested against.
+/// The interpreter backend: walks the generated IR (core/ir.hpp) directly.
+/// The whole instance tree's state is one flat vector in the save_state()
+/// layout, and every instance in the tree is a frame resolved once at
+/// construction. This is the reference execution path every other backend
+/// is differentially tested against.
 class InterpInstance final : public Instance {
 public:
     InterpInstance(const CompiledSystem& sys, BlockPtr block);
@@ -122,27 +124,30 @@ protected:
                       std::span<double> results) override;
     void do_step_instant_into(std::span<const double> inputs,
                               std::span<double> outputs) override;
-    std::size_t do_state_size() const override;
     void do_save_state(std::vector<double>& out) const override;
     void do_restore_state(std::span<const double> in) override;
 
 private:
-    void call_atomic_into(std::size_t fn, std::span<const double> args,
-                          std::span<double> results);
-    void call_macro_into(std::size_t fn, std::span<const double> args, std::span<double> results);
+    /// One instance of the tree. frames_[0] is the root; the subs of a macro
+    /// frame are contiguous, so its sub s is frames_[first_sub + s].
+    struct Frame {
+        const CompiledBlock* cb;
+        std::size_t base;      ///< offset of the instance's state in state_
+        std::size_t first_sub; ///< macro only: frames_ index of sub 0
+        std::size_t scratch;   ///< macro only: offset of its sub-call buffer in scratch_
+    };
 
-    std::vector<double> state_; ///< atomic block state
-    std::vector<double> slots_;
-    std::vector<std::int32_t> counters_;
-    std::vector<std::unique_ptr<InterpInstance>> subs_;
-    std::vector<std::size_t> pdg_order_;
+    void call_frame(const Frame& f, std::size_t fn, std::span<const double> args,
+                    std::span<double> results);
 
-    // Scratch buffers for the allocation-free paths; capacities are fixed in
-    // the constructor and never grow afterwards.
-    std::vector<double> scratch_args_;    ///< args of one sub-block call
-    std::vector<double> scratch_results_; ///< results of one sub-block call
-    std::vector<double> step_args_;       ///< per-function argument gather in step_instant
-    std::vector<double> step_results_;    ///< per-function result buffer in step_instant
+    std::vector<double> state_; ///< the whole tree's state, save_state() layout
+    std::vector<Frame> frames_;
+    /// Per macro frame: the arguments, then the results, of one sub call.
+    /// All buffers are sized at construction; the hot path never allocates.
+    std::vector<double> scratch_;
+    std::vector<std::size_t> step_order_;
+    std::vector<double> step_args_;    ///< per-function argument gather in step_instant
+    std::vector<double> step_results_; ///< per-function result buffer in step_instant
 };
 
 // ---------------------------------------------------------------------------

@@ -1119,6 +1119,20 @@ CompiledSystem Pipeline::compile(BlockPtr root, SatClusterStats* sat_stats) {
         c_contract_ns_.inc(t.contract_ns);
         sys.blocks_.emplace(t.block.get(), std::move(t.result));
     }
+    // State layout sizes, bottom-up: `order` lists every sub before its
+    // parent.
+    for (const Block* b : order) {
+        CompiledBlock& cb = sys.blocks_.at(b);
+        if (b->is_opaque()) continue;
+        if (b->is_atomic()) {
+            cb.state_size = static_cast<const AtomicBlock&>(*b).initial_state().size();
+            continue;
+        }
+        const auto& macro = static_cast<const MacroBlock&>(*b);
+        cb.state_size = cb.code->num_slots + cb.code->counter_mods.size();
+        for (std::size_t s = 0; s < macro.num_subs(); ++s)
+            cb.state_size += sys.blocks_.at(macro.sub(s).type.get()).state_size;
+    }
     sys.order_ = std::move(order);
     c_total_ns_.inc(ns_since(t_total));
     return sys;

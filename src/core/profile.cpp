@@ -2,6 +2,9 @@
 
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
+
+#include "graph/digraph.hpp"
 
 namespace sbd::codegen {
 
@@ -21,6 +24,15 @@ std::vector<std::size_t> Profile::readers_of_input(std::size_t i) const {
                 break;
             }
     return out;
+}
+
+std::vector<std::size_t> step_order(const Profile& p) {
+    graph::Digraph pdg(p.functions.size());
+    for (const auto& [a, b] : p.pdg_edges)
+        pdg.add_edge(static_cast<graph::NodeId>(a), static_cast<graph::NodeId>(b));
+    const auto order = pdg.topological_order();
+    if (!order) throw std::logic_error("step_order: cyclic PDG");
+    return {order->begin(), order->end()};
 }
 
 std::string Profile::to_string() const {

@@ -38,6 +38,11 @@ struct Profile {
     std::string to_string() const;
 };
 
+/// The order in which one synchronous instant calls the profile's functions:
+/// a topological order of the PDG, the same on every backend. Throws
+/// std::logic_error if the PDG is cyclic.
+std::vector<std::size_t> step_order(const Profile& p);
+
 /// The intrinsic profile of an atomic block (Section 4, Figure 3):
 ///  - combinational:      step(all inputs) -> all outputs
 ///  - sequential:         step(all inputs) -> all outputs, updates state

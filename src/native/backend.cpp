@@ -71,18 +71,6 @@ int run_command(const std::string& cmd, std::string* output) {
 constexpr const char* kBaseFlags = "-std=c++17 -O2 -shared -fPIC -fno-fast-math "
                                    "-ffp-contract=off";
 
-/// The interpreter's state_size(), computed statically from the compiled
-/// system — what the module's exported k_state_size must equal.
-std::size_t expected_state_size(const codegen::CompiledSystem& sys, const Block& b) {
-    if (b.is_atomic()) return static_cast<const AtomicBlock&>(b).initial_state().size();
-    const auto& m = static_cast<const MacroBlock&>(b);
-    const codegen::CodeUnit& code = *sys.at(b).code;
-    std::size_t n = code.num_slots + code.counter_mods.size();
-    for (std::size_t s = 0; s < m.num_subs(); ++s)
-        n += expected_state_size(sys, *m.sub(s).type);
-    return n;
-}
-
 struct BuildResult {
     std::shared_ptr<const NativeModule> module;
     bool compiled = false; ///< false = loaded from the store untouched
@@ -304,7 +292,7 @@ make_native_executable(const codegen::CompiledSystem& sys, BlockPtr root,
     expect.num_inputs = root->num_inputs();
     expect.num_outputs = root->num_outputs();
     expect.num_functions = sys.root().profile.functions.size();
-    expect.state_size = expected_state_size(sys, *root);
+    expect.state_size = sys.at(*root).state_size;
 
     const auto [result, first] =
         BuildScheduler::instance().get(path, tu, driver, cfg.extra_flags, expect);

@@ -3,7 +3,6 @@
 // root-block class through a C symbol table dlopen can bind.
 #include <functional>
 #include <sstream>
-#include <stdexcept>
 
 #include "core/emit_cpp.hpp"
 #include "core/fingerprint.hpp"
@@ -12,18 +11,6 @@
 namespace sbd::native {
 
 namespace {
-
-/// A PDG-consistent interface-function order for the root profile — the
-/// same order the interpreter precomputes, so the exported step() visits
-/// functions identically on both backends.
-std::vector<std::size_t> pdg_order(const codegen::Profile& p) {
-    graph::Digraph pdg(p.functions.size());
-    for (const auto& [a, b] : p.pdg_edges)
-        pdg.add_edge(static_cast<graph::NodeId>(a), static_cast<graph::NodeId>(b));
-    const auto order = pdg.topological_order();
-    if (!order) throw std::runtime_error("emit_native_module: cyclic PDG");
-    return {order->begin(), order->end()};
-}
 
 /// `root.fn(args[i]...)` with arguments drawn via `arg(i)`.
 std::string invocation(const codegen::InterfaceFunction& fn,
@@ -56,7 +43,7 @@ std::string emit_native_module(const codegen::CompiledSystem& sys) {
     const codegen::CompiledBlock& root = sys.root();
     const codegen::Profile& p = root.profile;
     const std::string cls = "gen::" + codegen::emit_cpp_class_name(sys, *root.block);
-    const std::vector<std::size_t> order = pdg_order(p);
+    const std::vector<std::size_t> order = codegen::step_order(p);
     const std::string key =
         codegen::fingerprint_block(*root.block).hex(); // method/options mixed in by the store
 

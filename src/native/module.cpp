@@ -109,8 +109,6 @@ void NativeInstance::do_step_instant_into(std::span<const double> inputs,
     module_->step(handle_, inputs.data(), outputs.data());
 }
 
-std::size_t NativeInstance::do_state_size() const { return module_->state_size; }
-
 void NativeInstance::do_save_state(std::vector<double>& out) const {
     const std::size_t at = out.size();
     out.resize(at + module_->state_size);

@@ -83,7 +83,6 @@ protected:
                       std::span<double> results) override;
     void do_step_instant_into(std::span<const double> inputs,
                               std::span<double> outputs) override;
-    std::size_t do_state_size() const override;
     void do_save_state(std::vector<double>& out) const override;
     void do_restore_state(std::span<const double> in) override;
 

@@ -15,7 +15,7 @@
 
 namespace sbd::runtime {
 
-/// Streaming twin of codegen::lcg_input_trace: the same generator, one row
+/// Deterministic input generator (a 64-bit LCG, values in [-8, 8)), one row
 /// at a time, so drivers can feed millions of instance-instants without
 /// materializing the whole trace. Seeding each instance with a distinct
 /// seed (e.g. base + instance index) gives independent, reproducible

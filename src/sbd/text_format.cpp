@@ -1,5 +1,6 @@
 #include "sbd/text_format.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -78,7 +79,9 @@ double num(const Token& t) {
 
 std::size_t natural(const Token& t) {
     const double v = num(t);
-    if (v < 0 || v != static_cast<double>(static_cast<std::size_t>(v)))
+    // Range first: converting a double outside size_t's range (or NaN) is
+    // undefined behaviour. 0x1p64 is 2^64, one past the largest size_t.
+    if (!(v >= 0 && v < 0x1p64) || v != std::floor(v))
         fail(t, "SBD002", "expected a non-negative integer, got '" + t.text + "'");
     return static_cast<std::size_t>(v);
 }

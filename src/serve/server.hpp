@@ -57,7 +57,9 @@ struct ServerConfig {
     std::uint64_t tenant_max_instances = 0;
     /// Metrics sink (serve request/tick/latency families, per-shard
     /// gauges). nullptr = the server creates a private registry, so STATS
-    /// and /metrics always work.
+    /// and /metrics always work. A registry passed here must outlive the
+    /// server: connection handler threads update it until the server is
+    /// destroyed.
     obs::MetricsRegistry* metrics = nullptr;
     /// Live-upgrade compile context (how to recompile a new model version:
     /// the boot-time clustering method/options, the shared profile cache,

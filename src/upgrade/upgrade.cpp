@@ -33,29 +33,6 @@ std::string join_path(const std::string& prefix, const std::string& name) {
     return prefix.empty() ? name : prefix + "." + name;
 }
 
-/// Persistent state footprint (in doubles) of one instance of `b`, in the
-/// documented cross-backend layout: atomic block state; for macros the
-/// signal slots, then the guard counters, then sub-instances depth-first in
-/// sub-index order. Memoized by block identity so shared types are walked
-/// once and deep diagrams stay O(distinct blocks).
-std::size_t state_size_of(const codegen::CompiledSystem& sys, const Block& b,
-                          std::unordered_map<const Block*, std::size_t>& memo) {
-    const auto it = memo.find(&b);
-    if (it != memo.end()) return it->second;
-    std::size_t n = 0;
-    if (b.is_atomic()) {
-        n = static_cast<const AtomicBlock&>(b).initial_state().size();
-    } else if (!b.is_opaque()) {
-        const auto& m = static_cast<const MacroBlock&>(b);
-        const codegen::CompiledBlock& cb = sys.at(b);
-        if (cb.code) n = cb.code->num_slots + cb.code->counter_mods.size();
-        for (std::size_t i = 0; i < m.num_subs(); ++i)
-            n += state_size_of(sys, *m.sub(i).type, memo);
-    }
-    memo.emplace(&b, n);
-    return n;
-}
-
 /// Collects the distinct macro-unit fingerprints reachable from `b`.
 void collect_macro_units(const Block& b, codegen::BlockFingerprinter& fp,
                          std::unordered_set<Fingerprint, FingerprintHash>& units,
@@ -143,8 +120,6 @@ struct PlanBuilder {
     const codegen::CompiledSystem& old_sys;
     const codegen::CompiledSystem& new_sys;
     codegen::BlockFingerprinter& fp;
-    std::unordered_map<const Block*, std::size_t>& old_sizes;
-    std::unordered_map<const Block*, std::size_t>& new_sizes;
     MigrationPlan& plan;
 
     void rule(RuleKind kind, const std::string& path, std::size_t old_off, std::size_t new_off,
@@ -153,21 +128,21 @@ struct PlanBuilder {
     }
 
     void init_subtree(const Block& b, const std::string& path, std::size_t new_off) {
-        const std::size_t n = state_size_of(new_sys, b, new_sizes);
+        const std::size_t n = new_sys.at(b).state_size;
         rule(RuleKind::InitSubtree, path, 0, new_off, n);
         plan.inited_ += n;
     }
 
     void drop_subtree(const Block& b, const std::string& path, std::size_t old_off) {
-        const std::size_t n = state_size_of(old_sys, b, old_sizes);
+        const std::size_t n = old_sys.at(b).state_size;
         rule(RuleKind::DropSubtree, path, old_off, 0, n);
         plan.dropped_ += n;
     }
 
     void walk(const Block& oldb, const Block& newb, const std::string& path,
               std::size_t old_off, std::size_t new_off) {
-        const std::size_t old_n = state_size_of(old_sys, oldb, old_sizes);
-        const std::size_t new_n = state_size_of(new_sys, newb, new_sizes);
+        const std::size_t old_n = old_sys.at(oldb).state_size;
+        const std::size_t new_n = new_sys.at(newb).state_size;
         if (fp.of(oldb) == fp.of(newb)) {
             // Bit-identical artifacts, hence bit-identical layouts: the
             // whole contiguous segment carries over verbatim.
@@ -215,7 +190,7 @@ struct PlanBuilder {
             for (std::size_t i = 0; i < om.num_subs(); ++i) {
                 old_subs.emplace(om.sub(i).name, i);
                 old_sub_off[i] = off;
-                off += state_size_of(old_sys, *om.sub(i).type, old_sizes);
+                off += old_sys.at(*om.sub(i).type).state_size;
             }
         }
         std::size_t new_sub_off = new_off + new_locals;
@@ -230,7 +205,7 @@ struct PlanBuilder {
                      new_sub_off);
                 old_subs.erase(oit);
             }
-            new_sub_off += state_size_of(new_sys, *ns.type, new_sizes);
+            new_sub_off += new_sys.at(*ns.type).state_size;
         }
         std::vector<std::size_t> removed;
         removed.reserve(old_subs.size());
@@ -376,9 +351,8 @@ std::string MigrationPlan::to_json() const {
 MigrationPlan plan_migration(const codegen::CompiledSystem& old_sys, const BlockPtr& old_root,
                              const codegen::CompiledSystem& new_sys, const BlockPtr& new_root) {
     MigrationPlan plan;
-    std::unordered_map<const Block*, std::size_t> old_sizes, new_sizes;
-    plan.old_state_size_ = state_size_of(old_sys, *old_root, old_sizes);
-    plan.new_state_size_ = state_size_of(new_sys, *new_root, new_sizes);
+    plan.old_state_size_ = old_sys.at(*old_root).state_size;
+    plan.new_state_size_ = new_sys.at(*new_root).state_size;
     plan.input_map_ = port_map(*old_root, *new_root, /*inputs=*/true);
     plan.output_map_ = port_map(*old_root, *new_root, /*inputs=*/false);
     if (!same_interface(*old_root, *new_root)) {
@@ -395,8 +369,7 @@ MigrationPlan plan_migration(const codegen::CompiledSystem& old_sys, const Block
         return plan;
     }
     codegen::BlockFingerprinter fp;
-    PlanBuilder{old_sys, new_sys, fp, old_sizes, new_sizes, plan}.walk(*old_root, *new_root, "",
-                                                                      0, 0);
+    PlanBuilder{old_sys, new_sys, fp, plan}.walk(*old_root, *new_root, "", 0, 0);
     return plan;
 }
 

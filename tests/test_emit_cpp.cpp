@@ -1,112 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
 #include "core/emit_cpp.hpp"
-#include "core/exec.hpp"
-#include "helpers.hpp"
 #include "sbd/library.hpp"
 #include "suite/figures.hpp"
-#include "suite/models.hpp"
 
 namespace {
 
 using namespace sbd;
 using namespace sbd::codegen;
-
-std::string run_command(const std::string& cmd, int* exit_code) {
-    std::array<char, 4096> buf{};
-    std::string out;
-    FILE* pipe = popen(cmd.c_str(), "r");
-    if (pipe == nullptr) {
-        *exit_code = -1;
-        return out;
-    }
-    std::size_t n = 0;
-    while ((n = fread(buf.data(), 1, buf.size(), pipe)) > 0) out.append(buf.data(), n);
-    *exit_code = pclose(pipe);
-    return out;
-}
-
-/// Emits the generated C++ plus driver, compiles with the system compiler,
-/// runs it and compares every printed output value against the interpreted
-/// generated code (Instance), instant by instant.
-void expect_emitted_cpp_equivalent(const std::shared_ptr<const MacroBlock>& block,
-                                   Method method, std::size_t steps, std::uint64_t seed) {
-    const auto sys = compile_hierarchy(block, method);
-    const std::string source = emit_cpp(sys) + emit_cpp_driver(sys, steps, seed);
-
-    const ::testing::TestInfo* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    std::string tag = std::string(info->test_suite_name()) + "_" + info->name() + "_" +
-                      to_string(method);
-    for (char& c : tag)
-        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-    const std::string dir = ::testing::TempDir();
-    const std::string cpp = dir + "/" + tag + ".cpp";
-    const std::string bin = dir + "/" + tag + ".bin";
-    {
-        std::ofstream f(cpp);
-        f << source;
-    }
-    int code = 0;
-    const std::string compile_out =
-        run_command("c++ -std=c++17 -O1 -o '" + bin + "' '" + cpp + "' 2>&1", &code);
-    ASSERT_EQ(code, 0) << "generated code failed to compile:\n"
-                       << compile_out << "\n--- source ---\n"
-                       << source;
-    const std::string run_out = run_command("'" + bin + "'", &code);
-    ASSERT_EQ(code, 0);
-
-    // Twin execution through the interpreter.
-    const auto trace = lcg_input_trace(block->num_inputs(), steps, seed);
-    InterpInstance inst(sys, block);
-    std::istringstream lines(run_out);
-    for (std::size_t t = 0; t < steps; ++t) {
-        const auto expected = inst.step_instant(trace[t]);
-        for (std::size_t o = 0; o < expected.size(); ++o) {
-            std::string line;
-            ASSERT_TRUE(std::getline(lines, line)) << "t=" << t << " o=" << o;
-            EXPECT_DOUBLE_EQ(std::strtod(line.c_str(), nullptr), expected[o])
-                << "t=" << t << " o=" << o;
-        }
-    }
-}
-
-TEST(EmitCpp, Figure3DynamicCompilesAndRuns) {
-    expect_emitted_cpp_equivalent(suite::figure3_p(), Method::Dynamic, 25, 11);
-}
-
-TEST(EmitCpp, Figure4DynamicGuardCountersWorkInRealCpp) {
-    expect_emitted_cpp_equivalent(suite::figure4_chain(5), Method::Dynamic, 25, 13);
-}
-
-TEST(EmitCpp, Figure4DisjointSat) {
-    expect_emitted_cpp_equivalent(suite::figure4_chain(5), Method::DisjointSat, 25, 17);
-}
-
-TEST(EmitCpp, Figure1Monolithic) {
-    expect_emitted_cpp_equivalent(suite::figure1_p(), Method::Monolithic, 25, 19);
-}
-
-TEST(EmitCpp, FuelControllerThreeLevels) {
-    expect_emitted_cpp_equivalent(suite::fuel_controller(), Method::Dynamic, 40, 23);
-}
-
-TEST(EmitCpp, ThermostatWithFeedback) {
-    expect_emitted_cpp_equivalent(suite::thermostat(), Method::DisjointSat, 40, 29);
-}
-
-TEST(EmitCpp, GearLogicLookupTables) {
-    expect_emitted_cpp_equivalent(suite::gear_logic(), Method::Dynamic, 40, 31);
-}
-
-TEST(EmitCpp, SignalSelector) {
-    expect_emitted_cpp_equivalent(suite::signal_selector(), Method::StepGet, 40, 37);
-}
 
 TEST(EmitCpp, EmitsOneClassPerBlockType) {
     const auto p = suite::figure3_p();
@@ -132,18 +33,6 @@ TEST(EmitCpp, AtomicWithoutCppSemanticsIsRejected) {
     const auto sys = compile_hierarchy(std::static_pointer_cast<const Block>(m),
                                        Method::Dynamic);
     EXPECT_THROW((void)emit_cpp(sys), std::runtime_error);
-}
-
-TEST(EmitCpp, LcgTraceMatchesDriverFormula) {
-    const auto trace = lcg_input_trace(2, 3, 42);
-    ASSERT_EQ(trace.size(), 3u);
-    ASSERT_EQ(trace[0].size(), 2u);
-    std::uint64_t s = 42;
-    for (std::size_t t = 0; t < 3; ++t)
-        for (std::size_t i = 0; i < 2; ++i) {
-            s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-            EXPECT_EQ(trace[t][i], static_cast<double>((s >> 33) & 0xFFFF) / 4096.0 - 8.0);
-        }
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <new>
 #include <optional>
 #include <string>
@@ -30,12 +31,14 @@
 
 #include "core/bytes.hpp"
 #include "core/compiler.hpp"
+#include "core/exec.hpp"
 #include "core/pipeline.hpp"
 #include "durable/durable.hpp"
 #include "runtime/trace.hpp"
 #include "sbd/text_format.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "suite/figures.hpp"
 #include "suite/models.hpp"
 
 namespace {
@@ -43,10 +46,12 @@ namespace {
 std::atomic<bool> g_tracking{false};
 std::atomic<std::size_t> g_largest{0};
 std::atomic<std::size_t> g_total{0};
+std::atomic<std::size_t> g_count{0};
 
 void note_allocation(std::size_t n) {
     if (!g_tracking.load(std::memory_order_relaxed)) return;
     g_total.fetch_add(n, std::memory_order_relaxed);
+    g_count.fetch_add(1, std::memory_order_relaxed);
     std::size_t seen = g_largest.load(std::memory_order_relaxed);
     while (n > seen && !g_largest.compare_exchange_weak(seen, n, std::memory_order_relaxed)) {
     }
@@ -86,6 +91,7 @@ public:
     AllocWindow() {
         g_largest = 0;
         g_total = 0;
+        g_count = 0;
         g_tracking = true;
     }
     ~AllocWindow() { g_tracking = false; }
@@ -94,6 +100,7 @@ public:
 
     std::size_t largest() const { return g_largest.load(); }
     std::size_t total() const { return g_total.load(); }
+    std::size_t count() const { return g_count.load(); }
 };
 
 struct SplitMix {
@@ -470,6 +477,71 @@ TEST(CheckpointImage, OutOfRangeNextShardIsRejected) {
     cfg.durable = opts;
     serve::Server server(served.sys, served.model, cfg);
     EXPECT_THROW((void)server.recover(), durable::DurableError);
+}
+
+TEST(CheckpointImage, OutOfRangeGuardCounterIsRejected) {
+    // A checksummed checkpoint may still carry a guard counter outside
+    // [0, mod); recovery must refuse it rather than convert it to int.
+    const ServedModel served;
+    const codegen::CodeUnit& code = *served.sys.root().code;
+    ASSERT_FALSE(code.counter_mods.empty());
+    const DurableCorpus corpus = durable_corpus(served);
+    ASSERT_FALSE(corpus.checkpoint.empty());
+    // Walk the image to the first live instance's state blob.
+    bytes::ByteReader r(corpus.checkpoint);
+    (void)r.u64();
+    (void)r.str();
+    (void)r.u64();
+    (void)r.u64();
+    const std::size_t tenants = r.count(16);
+    for (std::size_t i = 0; i < 2 * tenants; ++i) (void)r.u64();
+    std::size_t blob_at = 0;
+    for (std::uint32_t shards = r.u32(); shards > 0 && blob_at == 0; --shards) {
+        const std::uint32_t cap = r.u32();
+        for (std::size_t n = r.count(4); n > 0; --n) (void)r.u32();
+        const std::size_t live = r.count(4);
+        for (std::size_t n = live; n > 0; --n) (void)r.u32();
+        for (std::uint32_t n = cap; n > 0; --n) (void)r.u32();
+        for (std::size_t n = live; n > 0; --n) (void)r.u64();
+        if (live == 0) continue;
+        ASSERT_GT(r.count(sizeof(double)), code.num_slots);
+        blob_at = corpus.checkpoint.size() - r.remaining();
+    }
+    ASSERT_NE(blob_at, 0u);
+
+    const std::size_t counter_at = blob_at + code.num_slots * sizeof(double);
+    const auto recover = [&](const std::vector<std::uint8_t>& payload) {
+        TempDir dir;
+        EXPECT_TRUE(durable::CheckpointStore(durable_options(dir.path)).write(1, payload));
+        serve::ServerConfig cfg = served.config();
+        cfg.durable = durable_options(dir.path);
+        serve::Server server(served.sys, served.model, cfg);
+        (void)server.recover();
+    };
+    double counter = -1;
+    std::memcpy(&counter, corpus.checkpoint.data() + counter_at, sizeof counter);
+    const double mod = code.counter_mods[0];
+    ASSERT_TRUE(counter >= 0 && counter < mod) << counter;
+    EXPECT_NO_THROW(recover(corpus.checkpoint));
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(), 0.5, -1.0, mod, 1e30}) {
+        std::vector<std::uint8_t> payload = corpus.checkpoint;
+        std::memcpy(payload.data() + counter_at, &bad, sizeof bad);
+        EXPECT_THROW(recover(payload), durable::DurableError) << "counter " << bad;
+    }
+}
+
+TEST(AllocationBound, InterpInstanceAllocationsDoNotGrowWithTheTree) {
+    // An interpreter instance keeps its whole tree in one state vector and
+    // one frame table: a 16-stage chain costs as many allocations as a
+    // 2-stage one.
+    const auto allocations = [](std::size_t stages) {
+        const auto m = suite::figure4_chain(stages);
+        const codegen::CompiledSystem sys = codegen::compile_hierarchy(m, codegen::Method::Dynamic);
+        AllocWindow window;
+        const codegen::InterpInstance inst(sys, m);
+        return window.count();
+    };
+    EXPECT_EQ(allocations(16), allocations(2));
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <sstream>
 
@@ -24,6 +25,7 @@
 #include "core/emit_cpp.hpp"
 #include "core/exec.hpp"
 #include "native/native.hpp"
+#include "sbd/library.hpp"
 #include "sbd/text_format.hpp"
 #include "suite/models.hpp"
 #include "suite/random_models.hpp"
@@ -248,6 +250,117 @@ TEST(StateContract, SnapshotsRestoreAcrossBackends) {
         fresh.step_instant_into(in, out_i);
         nat->step_instant_into(in, out_n);
         expect_rows_bit_equal(out_i, out_n, "native->interp restore t=" + std::to_string(t));
+    }
+}
+
+/// Under the dynamic method, a Gain read by `n` Sums (one per output) is
+/// shared by n clusters, so its guard counter counts modulo n. The macro
+/// sits behind a UnitDelay in an outer macro, so the counter lives in a
+/// sub-instance at a nonzero state offset.
+std::shared_ptr<const MacroBlock> shared_gain(std::size_t n) {
+    std::vector<std::string> ins{"z"}, outs;
+    for (std::size_t i = 0; i < n; ++i) {
+        ins.push_back("a" + std::to_string(i));
+        outs.push_back("y" + std::to_string(i));
+    }
+    auto fan = std::make_shared<MacroBlock>("Fan", ins, outs);
+    fan->add_sub("S", lib::gain(2.0));
+    fan->connect("z", "S.u");
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::string sum = "A" + std::to_string(i);
+        fan->add_sub(sum, lib::sum("++"));
+        fan->connect(ins[i + 1], sum + ".u1");
+        fan->connect("S.y", sum + ".u2");
+        fan->connect(sum + ".y", outs[i]);
+    }
+    std::vector<std::string> outer_outs = outs;
+    outer_outs.push_back("d");
+    auto outer = std::make_shared<MacroBlock>("Outer", ins, outer_outs);
+    outer->add_sub("D", lib::unit_delay(0.0));
+    outer->add_sub("F", fan);
+    outer->connect("z", "D.u");
+    outer->connect("D.y", "d");
+    for (const std::string& in : ins) outer->connect(in, "F." + in);
+    for (const std::string& out : outs) outer->connect("F." + out, out);
+    return outer;
+}
+
+/// Index in the state blob of the shared_gain counter, and its modulus.
+std::pair<std::size_t, std::int32_t> shared_gain_counter(const CompiledSystem& sys,
+                                                         const MacroBlock& outer) {
+    const CodeUnit& code = *sys.root().code;
+    const CodeUnit& fan = *sys.at(*outer.sub(1).type).code;
+    const std::size_t at = code.num_slots + code.counter_mods.size() +
+                           sys.at(*outer.sub(0).type).state_size + fan.num_slots;
+    return {at, fan.counter_mods.at(0)};
+}
+
+TEST(StateContract, OutOfRangeGuardCountersAreRejectedByBothBackends) {
+    const auto m = shared_gain(3);
+    const CompiledSystem sys = compile_hierarchy(m, Method::Dynamic);
+    const auto [at, mod] = shared_gain_counter(sys, *m);
+    ASSERT_EQ(mod, 3);
+    InterpInstance interp(sys, m);
+    const auto exe = build_native(sys, m, Method::Dynamic);
+    const std::unique_ptr<Instance> nat = exe->instantiate();
+
+    std::vector<double> good;
+    interp.save_state(good);
+    for (const double bad :
+         {std::numeric_limits<double>::quiet_NaN(), 2.5, -1.0, double(mod), 1e30}) {
+        std::vector<double> blob = good;
+        blob[at] = bad;
+        for (Instance* inst : {static_cast<Instance*>(&interp), nat.get()}) {
+            EXPECT_THROW((void)inst->restore_state(blob), std::invalid_argument)
+                << inst->state_size() << " doubles, counter " << bad;
+            std::vector<double> after;
+            inst->save_state(after);
+            EXPECT_EQ(after, good) << "a rejected blob changed the state";
+        }
+    }
+}
+
+TEST(StateContract, EveryGuardCounterValueStepsAlikeOnBothBackends) {
+    // The interpreter keeps guard counters as doubles, the emitted code as
+    // ints computing (c + 1) % mod. From every legal value, one interface
+    // call (one bump) and one full instant must agree bit for bit.
+    const auto m = shared_gain(5);
+    const CompiledSystem sys = compile_hierarchy(m, Method::Dynamic);
+    const auto [at, mod] = shared_gain_counter(sys, *m);
+    ASSERT_EQ(mod, 5);
+    InterpInstance interp(sys, m);
+    const auto exe = build_native(sys, m, Method::Dynamic);
+    const std::unique_ptr<Instance> nat = exe->instantiate();
+    std::vector<double> in(m->num_inputs());
+    for (std::size_t i = 0; i < in.size(); ++i) in[i] = 0.25 + static_cast<double>(i);
+    std::vector<double> out_i(m->num_outputs()), out_n(m->num_outputs());
+    interp.step_instant_into(in, out_i);
+    std::vector<double> base;
+    interp.save_state(base);
+    const std::vector<double> args(interp.profile().functions[0].reads.size(), 0.75);
+    for (std::int32_t c = 0; c < mod; ++c) {
+        std::vector<double> blob = base;
+        blob[at] = c;
+        const std::string ctx = "counter " + std::to_string(c);
+        std::vector<double> si, sn;
+        interp.restore_state(blob);
+        nat->restore_state(blob);
+        expect_rows_bit_equal(interp.call(0, args), nat->call(0, args), ctx + " (one call)");
+        interp.save_state(si);
+        nat->save_state(sn);
+        expect_rows_bit_equal(si, sn, ctx + " (state after one call)");
+        EXPECT_EQ(si[at], (c + 1) % mod) << ctx;
+
+        interp.restore_state(blob);
+        nat->restore_state(blob);
+        interp.step_instant_into(in, out_i);
+        nat->step_instant_into(in, out_n);
+        expect_rows_bit_equal(out_i, out_n, ctx + " (one instant)");
+        si.clear();
+        sn.clear();
+        interp.save_state(si);
+        nat->save_state(sn);
+        expect_rows_bit_equal(si, sn, ctx + " (state after one instant)");
     }
 }
 

@@ -35,6 +35,12 @@ struct RandomEquivCase {
     Method method;
 };
 
+// Printed by field so the discovered test names never show padding bytes.
+void PrintTo(const RandomEquivCase& c, std::ostream* os) {
+    *os << "seed " << c.seed << ", depth " << c.depth << ", " << c.subs << " subs, "
+        << to_string(c.method);
+}
+
 class RandomEquivalence : public ::testing::TestWithParam<RandomEquivCase> {};
 
 TEST_P(RandomEquivalence, GeneratedCodeMatchesSimulator) {

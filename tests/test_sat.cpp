@@ -157,6 +157,11 @@ struct Random3SatCase {
     double ratio;
 };
 
+// Printed by field so the discovered test names never show padding bytes.
+void PrintTo(const Random3SatCase& c, std::ostream* os) {
+    *os << "seed " << c.seed << ", " << c.vars << " vars, ratio " << c.ratio;
+}
+
 class SatRandomTest : public ::testing::TestWithParam<Random3SatCase> {};
 
 TEST_P(SatRandomTest, AgreesWithBruteForceAndModelsAreValid) {

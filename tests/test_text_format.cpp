@@ -178,7 +178,11 @@ INSTANTIATE_TEST_SUITE_P(
                 "block M { inputs x\noutputs y\nsub S A 3\nconnect x S.x\n"
                 "connect S.y y }"},
         BadCase{"stray_token", "block M { inputs x\noutputs y\nbananas\n"
-                               "connect x y }"}),
+                               "connect x y }"},
+        BadCase{"huge_natural", "block M { inputs x\noutputs y\nsub F Fanout 1e30\n"
+                                "connect x F.u\nconnect F.y0 y }"},
+        BadCase{"nan_natural", "block M { inputs x\noutputs y\nsub F Fanout nan\n"
+                               "connect x F.u\nconnect F.y0 y }"}),
     [](const auto& info) { return info.param.name; });
 
 TEST(SbdRoundTrip, SuiteModelsSurviveWriteParseWrite) {

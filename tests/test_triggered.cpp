@@ -163,6 +163,9 @@ struct TrigEquivCase {
     Method method;
 };
 
+// Printed by name so the discovered test names carry no load address.
+void PrintTo(const TrigEquivCase& c, std::ostream* os) { *os << c.name; }
+
 class TriggeredEquivalence : public ::testing::TestWithParam<TrigEquivCase> {};
 
 TEST_P(TriggeredEquivalence, MatchesReferenceSimulator) {

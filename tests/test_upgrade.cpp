@@ -974,6 +974,9 @@ TEST_F(UpgradeServeFixture, UpgradeMetricsAreExported) {
         snap.find("sbd_serve_requests_total", {{"op", "UPGRADE_MODEL"}});
     ASSERT_NE(reqs, nullptr);
     EXPECT_EQ(reqs->value, 2u);
+    // The server writes into the registry until its handler threads are
+    // joined, so it must go before the registry leaves scope.
+    server_.reset();
 }
 
 } // namespace

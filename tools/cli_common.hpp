@@ -163,7 +163,13 @@ private:
             head += ' ';
             head += value_name;
         }
-        std::fprintf(to, "%-17s", head.c_str());
+        // Descriptions start at this column; a head too wide for it gets a
+        // line of its own.
+        constexpr int kColumn = 17;
+        if (head.size() < std::size_t{kColumn})
+            std::fprintf(to, "%-*s", kColumn, head.c_str());
+        else
+            std::fprintf(to, "%s\n%*s", head.c_str(), kColumn, "");
         // Multi-line help: continuation lines are pre-indented by callers.
         std::fprintf(to, "%s\n", help);
     }
